@@ -203,6 +203,21 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ToOwned + ?Sized> Serialize for std::borrow::Cow<'_, T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: ToOwned + ?Sized> Deserialize for std::borrow::Cow<'_, T>
+where
+    T::Owned: Deserialize,
+{
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::Owned::from_value(v).map(std::borrow::Cow::Owned)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -330,6 +345,12 @@ mod tests {
     fn containers_round_trip() {
         let v = vec![(1u64, 2u64), (3, 4)];
         assert_eq!(Vec::<(u64, u64)>::from_value(&v.to_value()), Ok(v));
+        let label: std::borrow::Cow<'static, str> = "CRASH".into();
+        assert_eq!(label.to_value(), Value::Str("CRASH".into()));
+        assert_eq!(
+            std::borrow::Cow::<str>::from_value(&label.to_value()),
+            Ok(label)
+        );
         let o: Option<u8> = None;
         assert_eq!(Option::<u8>::from_value(&o.to_value()), Ok(None));
         assert_eq!(Option::<u8>::from_value(&Some(9u8).to_value()), Ok(Some(9)));

@@ -22,8 +22,8 @@
 //!   coverage for missing chunk ranges. `enviromic-core` turns the
 //!   ranges into batched spanning-tree re-request messages instead of
 //!   one query per hole.
-//! * [`serve_queries`] — a `std::thread::scope` worker pool (the
-//!   `src/sweep.rs` shape) serving a query workload concurrently with
+//! * [`serve_queries`] — serves a query workload on the workspace's
+//!   ordered worker pool (`enviromic_types::map_ordered`) with
 //!   deterministic results regardless of worker count.
 //!
 //! See DESIGN.md §17 for the layout and the determinism argument.

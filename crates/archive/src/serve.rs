@@ -1,9 +1,8 @@
 //! Concurrent query serving on a worker pool.
 //!
-//! Same shape as the sweep engine (`src/sweep.rs`): a shared
-//! `Mutex<VecDeque>` of job indices drained by `std::thread::scope`
-//! workers, results slotted by index. Determinism at any worker count
-//! comes from a strict phase split:
+//! The cache misses run on the workspace's one ordered pool,
+//! [`map_ordered`], which returns results in input order. Determinism at
+//! any worker count comes from a strict phase split:
 //!
 //! 1. **Plan (serial):** the LRU cache is probed in workload order on
 //!    the coordinator, fixing every hit/miss/eviction decision and the
@@ -20,8 +19,8 @@
 use crate::cache::{CacheDecision, CacheStats, QueryCache};
 use crate::store::{ArchiveStore, QueryResult, RangeQuery};
 use enviromic_telemetry::Registry;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use enviromic_types::{map_ordered, pool_size, Fnv1a};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Wall-clock latency percentiles over the executed scans. Informational
@@ -78,14 +77,11 @@ impl ServeOutcome {
     /// the workload's determinism fingerprint.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for r in &self.results {
-            for b in r.digest.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            h.write_u64_le(r.digest);
         }
-        h
+        h.finish()
     }
 
     /// Total records matched across the workload.
@@ -123,10 +119,11 @@ pub fn serve_queries(
 ) -> ServeOutcome {
     let started = Instant::now();
 
-    // Phase 1: fix every cache decision in workload order.
+    // Phase 1: fix every cache decision in workload order. `source[i]`
+    // is the position in `misses` of the scan that answers query `i`.
     let mut cache = QueryCache::new(cache_capacity);
     let mut source: Vec<usize> = Vec::with_capacity(queries.len());
-    let mut miss_indices: Vec<usize> = Vec::new();
+    let mut misses: Vec<usize> = Vec::new();
     let mut last_miss: BTreeMap<RangeQuery, usize> = BTreeMap::new();
     for (i, q) in queries.iter().enumerate() {
         match cache.probe(q) {
@@ -134,53 +131,25 @@ pub fn serve_queries(
                 source.push(*last_miss.get(q).expect("a hit follows a miss for its key"));
             }
             CacheDecision::Miss { .. } => {
-                source.push(i);
-                miss_indices.push(i);
-                last_miss.insert(*q, i);
+                source.push(misses.len());
+                last_miss.insert(*q, misses.len());
+                misses.push(i);
             }
         }
     }
     let stats = cache.stats();
 
     // Phase 2: execute the misses on the pool.
-    let total_misses = miss_indices.len();
-    let workers = workers.clamp(1, total_misses.max(1));
-    let queue: Mutex<VecDeque<usize>> = Mutex::new(miss_indices.into_iter().collect());
-    let slots: Mutex<Vec<Option<(QueryResult, f64)>>> =
-        Mutex::new((0..queries.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let Some(i) = queue.lock().expect("query queue poisoned").pop_front() else {
-                        break;
-                    };
-                    let t = Instant::now();
-                    let result = store.query(&queries[i]);
-                    let us = t.elapsed().as_secs_f64() * 1e6;
-                    slots.lock().expect("result table poisoned")[i] = Some((result, us));
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("archive query worker panicked");
-        }
+    let workers = pool_size(workers, misses.len());
+    let scans = map_ordered(&misses, workers, |&i| {
+        let t = Instant::now();
+        let result = store.query(&queries[i]);
+        (result, t.elapsed().as_secs_f64() * 1e6)
     });
-    let slots = slots.into_inner().expect("result table poisoned");
 
     // Phase 3: assemble in workload order; hits copy their source scan.
-    let mut latencies = Vec::with_capacity(total_misses);
-    let mut results: Vec<QueryResult> = Vec::with_capacity(queries.len());
-    for (i, &src) in source.iter().enumerate() {
-        if src == i {
-            let (result, us) = slots[i].as_ref().expect("miss was executed");
-            latencies.push(*us);
-            results.push(result.clone());
-        } else {
-            let (result, _) = slots[src].as_ref().expect("hit source was executed");
-            results.push(result.clone());
-        }
-    }
+    let latencies = scans.iter().map(|&(_, us)| us).collect();
+    let results: Vec<QueryResult> = source.iter().map(|&m| scans[m].0.clone()).collect();
 
     let outcome = ServeOutcome {
         results,

@@ -8,21 +8,9 @@
 //! no locking.
 
 use enviromic_flash::Chunk;
-use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
+use enviromic_types::{EventId, Fnv1a, NodeId, SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::BTreeMap;
-
-/// FNV-1a offset basis (the digest of an empty result).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One collected chunk as the archive sees it: pure metadata. Payloads
 /// stay on whatever medium the collection produced (the archive indexes
@@ -47,13 +35,13 @@ pub struct ArchiveRecord {
 impl ArchiveRecord {
     /// Folds the record into an FNV-1a digest. Field order is part of
     /// the committed `BENCH_retrieval.json` contract.
-    fn fold_digest(&self, mut h: u64) -> u64 {
-        h = fnv_fold(h, u64::from(self.origin.0));
-        h = fnv_fold(h, self.event.map_or(u64::MAX, EventId::to_raw));
-        h = fnv_fold(h, self.t0.as_jiffies());
-        h = fnv_fold(h, self.t1.as_jiffies());
-        h = fnv_fold(h, u64::from(self.bytes));
-        fnv_fold(h, u64::from(self.holder.0))
+    fn fold_digest(&self, h: &mut Fnv1a) {
+        h.write_u64_le(u64::from(self.origin.0));
+        h.write_u64_le(self.event.map_or(u64::MAX, EventId::to_raw));
+        h.write_u64_le(self.t0.as_jiffies());
+        h.write_u64_le(self.t1.as_jiffies());
+        h.write_u64_le(u64::from(self.bytes));
+        h.write_u64_le(u64::from(self.holder.0));
     }
 }
 
@@ -319,17 +307,17 @@ impl ArchiveStore {
             indices.sort_unstable();
             indices.dedup();
         }
-        let mut digest = FNV_OFFSET;
+        let mut digest = Fnv1a::new();
         let mut bytes = 0u64;
         for &i in &indices {
             let r = &self.records[i as usize];
-            digest = r.fold_digest(digest);
+            r.fold_digest(&mut digest);
             bytes += u64::from(r.bytes);
         }
         QueryResult {
             indices,
             bytes,
-            digest,
+            digest: digest.finish(),
         }
     }
 
@@ -338,21 +326,21 @@ impl ArchiveStore {
     /// uncached-baseline serving mode.
     #[must_use]
     pub fn query_full_scan(&self, query: &RangeQuery) -> QueryResult {
-        let mut digest = FNV_OFFSET;
+        let mut digest = Fnv1a::new();
         let mut bytes = 0u64;
         let mut indices = Vec::new();
         for (i, r) in self.records.iter().enumerate() {
             if query.matches(r) {
                 #[allow(clippy::cast_possible_truncation)]
                 indices.push(i as u32);
-                digest = r.fold_digest(digest);
+                r.fold_digest(&mut digest);
                 bytes += u64::from(r.bytes);
             }
         }
         QueryResult {
             indices,
             bytes,
-            digest,
+            digest: digest.finish(),
         }
     }
 }
@@ -446,7 +434,7 @@ mod tests {
         let s = store([rec(1, 0.0, 1.0)]);
         assert!(s.query(&q(0.5, 0.5)).is_empty());
         assert!(s.query(&q(3.0, 2.0)).is_empty());
-        assert_eq!(s.query(&q(0.5, 0.5)).digest, FNV_OFFSET);
+        assert_eq!(s.query(&q(0.5, 0.5)).digest, Fnv1a::OFFSET_BASIS);
     }
 
     #[test]

@@ -323,7 +323,9 @@ fn policy_row(scenario: &str, kind: PolicyKind, job: &JobOutcome, duration: f64)
     let (mut chunks_migrated, mut duplicated_chunks) = (0u64, 0u64);
     for ev in job.run.trace.iter() {
         match ev {
-            TraceEvent::MessageSent { kind, bytes, .. } if MIGRATION_KINDS.contains(kind) => {
+            TraceEvent::MessageSent { kind, bytes, .. }
+                if MIGRATION_KINDS.contains(&kind.as_ref()) =>
+            {
                 migration_packets += 1;
                 let tx_secs = f64::from(*bytes) * 8.0 / 250_000.0;
                 migration_energy_mj += energy.radio_tx_mw * tx_secs;

@@ -140,7 +140,7 @@ fn main() {
     let mut kinds: std::collections::BTreeMap<&str, u64> = Default::default();
     for e in run.trace.iter() {
         if let TraceEvent::MessageSent { kind, .. } = e {
-            *kinds.entry(kind).or_default() += 1;
+            *kinds.entry(kind.as_ref()).or_default() += 1;
         }
     }
     println!("message census: {kinds:?}");

@@ -8,7 +8,8 @@
 //!         fig16 fig17 fig18 headline all    (default: all)
 //! --seed N             root seed (default 1)
 //! --quick              shortened runs (CI-friendly): 1/4 duration, 5 reps
-//! --jobs N             sweep worker threads (default: available cores)
+//! --jobs N             worker threads for sweeps and the Fig. 6 grid
+//!                      (default: available cores)
 //! -q / --quiet         suppress status lines
 //! -v / --verbose       extra detail + print the telemetry dashboard
 //! --telemetry-out PATH telemetry JSON destination
@@ -199,7 +200,7 @@ fn main() {
         let _phase = registry.span("fig6");
         let runs = if opts.quick { 5 } else { 15 };
         log_info!("[repro] fig6: sweeping Dta x Trc ({runs} runs per point)...");
-        let sweep = fig06::run_sweep(opts.seed, runs);
+        let sweep = fig06::run_sweep(opts.seed, runs, opts.jobs);
         println!("{}", fig06::render_sweep(&sweep));
     }
     if wants("fig7") {

@@ -11,7 +11,7 @@ use enviromic::core::{Mode, NodeConfig};
 use enviromic::harness::{indoor_world_config, run_scenario};
 use enviromic::metrics::mean_ci90;
 use enviromic::sim::{RecordKind, TraceEvent};
-use enviromic::types::{NodeId, SimDuration};
+use enviromic::types::{map_ordered, NodeId, SimDuration};
 use enviromic::workloads::{mobile_scenario, MobileParams};
 
 /// The swept `Dta` values, milliseconds (the paper's x axis).
@@ -44,35 +44,26 @@ fn one_run_miss(seed: u64, trc_s: f64, dta_ms: u64) -> f64 {
 }
 
 /// Runs the full sweep with `runs` repetitions per point (15 in the
-/// paper). Parallelized across parameter points.
+/// paper) on `jobs` worker threads, one parameter point per task. Every
+/// point is seeded independently, so the output does not depend on
+/// `jobs`.
 #[must_use]
-pub fn run_sweep(base_seed: u64, runs: u64) -> Vec<SweepPoint> {
+pub fn run_sweep(base_seed: u64, runs: u64, jobs: usize) -> Vec<SweepPoint> {
     let points: Vec<(f64, u64)> = TRC_S
         .iter()
         .flat_map(|&trc| DTA_MS.iter().map(move |&dta| (trc, dta)))
         .collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = points
-            .into_iter()
-            .map(|(trc_s, dta_ms)| {
-                scope.spawn(move || {
-                    let misses: Vec<f64> = (0..runs)
-                        .map(|k| one_run_miss(base_seed + k * 1000 + dta_ms, trc_s, dta_ms))
-                        .collect();
-                    let (mean_miss, ci90) = mean_ci90(&misses);
-                    SweepPoint {
-                        trc_s,
-                        dta_ms,
-                        mean_miss,
-                        ci90,
-                    }
-                })
-            })
+    map_ordered(&points, jobs, |&(trc_s, dta_ms)| {
+        let misses: Vec<f64> = (0..runs)
+            .map(|k| one_run_miss(base_seed + k * 1000 + dta_ms, trc_s, dta_ms))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+        let (mean_miss, ci90) = mean_ci90(&misses);
+        SweepPoint {
+            trc_s,
+            dta_ms,
+            mean_miss,
+            ci90,
+        }
     })
 }
 

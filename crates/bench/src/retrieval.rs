@@ -22,6 +22,7 @@ use enviromic::harness::run_scenario_with_faults;
 use enviromic::observe::{archive_run, rerequest_plan};
 use enviromic::sweep::ScenarioSpec;
 use enviromic_core::RerequestPlan;
+use enviromic_sim::rng::split_mix64;
 use enviromic_telemetry::{Registry, TelemetryReport};
 use enviromic_types::{EventId, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -225,14 +226,6 @@ impl RetrievalRun {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Generates the deterministic query workload: window starts snap to a
 /// coarse grid (so the stream revisits keys and the cache has something
 /// to do), lengths come from a three-point set, and every eighth query
@@ -259,7 +252,8 @@ pub fn build_workload(store: &ArchiveStore, n: usize) -> Vec<RangeQuery> {
     let mut state = SEED ^ 0x5DEE_CE66_D1CE_5EED;
     (0..n)
         .map(|_| {
-            let r = splitmix(&mut state);
+            let r = split_mix64(state);
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let start = span0 + SimDuration::from_jiffies((r % GRID) * span_j / GRID);
             let len = lengths[((r >> 8) % 3) as usize].max(1);
             let (origin, event) = match (r >> 16) % 8 {

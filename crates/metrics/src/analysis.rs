@@ -223,7 +223,7 @@ impl<'a> Experiment<'a> {
             .trace
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::MessageSent { kind, t, .. } if kinds.contains(kind) => {
+                TraceEvent::MessageSent { kind, t, .. } if kinds.contains(&kind.as_ref()) => {
                     Some(t.as_jiffies())
                 }
                 _ => None,
@@ -247,7 +247,7 @@ impl<'a> Experiment<'a> {
         let mut counts = vec![0u64; self.positions.len()];
         for e in self.trace.iter() {
             if let TraceEvent::MessageSent { node, kind, .. } = e {
-                if kinds.contains(kind) {
+                if kinds.contains(&kind.as_ref()) {
                     if let Some(c) = counts.get_mut(node.index()) {
                         *c += 1;
                     }
@@ -551,19 +551,19 @@ mod tests {
         let trace: Trace = vec![
             TraceEvent::MessageSent {
                 node: NodeId(0),
-                kind: "TASK_REQUEST",
+                kind: "TASK_REQUEST".into(),
                 bytes: 10,
                 t: t(1.0),
             },
             TraceEvent::MessageSent {
                 node: NodeId(0),
-                kind: "SENSING",
+                kind: "SENSING".into(),
                 bytes: 10,
                 t: t(2.0),
             },
             TraceEvent::MessageSent {
                 node: NodeId(1),
-                kind: "TASK_REQUEST",
+                kind: "TASK_REQUEST".into(),
                 bytes: 10,
                 t: t(3.0),
             },

@@ -173,7 +173,7 @@ mod tests {
             },
             TraceEvent::MessageSent {
                 node: NodeId(4),
-                kind: "SENSING",
+                kind: "SENSING".into(),
                 bytes: 12,
                 t: t(1.5),
             },

@@ -307,7 +307,7 @@ impl Runtime for MockRuntime {
         }
         self.trace.push(TraceEvent::MessageSent {
             node: self.node,
-            kind,
+            kind: kind.into(),
             bytes: bytes.len() as u32,
             t: self.now,
         });

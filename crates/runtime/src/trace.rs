@@ -12,8 +12,9 @@
 //! [`crate::Runtime::telemetry`], which aggregates live counters, latency
 //! histograms, and wall-clock span timings while a run executes.
 
-use enviromic_types::{EventId, NodeId, SimTime, SourceId};
+use enviromic_types::{EventId, Fnv1a, NodeId, SimTime, SourceId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Why a recording attempt stored nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -36,7 +37,13 @@ pub enum RecordKind {
 }
 
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// The two protocol labels (`MessageSent::kind`, `FaultInjected::kind`)
+/// are `Cow<'static, str>`: emitters pass `&'static str` constants, so
+/// recording a label never allocates, while a trace read back from a run
+/// dump owns its labels. Both render identically under `Debug`, which is
+/// what the digest hashes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A node stored an interval of audio in its local chunk store.
     Recorded {
@@ -82,7 +89,7 @@ pub enum TraceEvent {
         /// Sending node.
         node: NodeId,
         /// Protocol-level message kind (e.g. `"TASK_REQUEST"`).
-        kind: &'static str,
+        kind: Cow<'static, str>,
         /// Encoded size in bytes.
         bytes: u32,
         /// Send time (global clock).
@@ -184,7 +191,7 @@ pub enum TraceEvent {
     /// these markers.
     FaultInjected {
         /// Fault kind (e.g. `"CRASH"`, `"REBOOT"`, `"BLACKOUT_START"`).
-        kind: &'static str,
+        kind: Cow<'static, str>,
         /// Afflicted node, when the fault is node-scoped.
         node: Option<NodeId>,
         /// Injection time (global clock).
@@ -210,6 +217,62 @@ impl TraceEvent {
             | TraceEvent::SourceStarted { t, .. }
             | TraceEvent::SourceStopped { t, .. }
             | TraceEvent::FaultInjected { t, .. } => t,
+        }
+    }
+
+    /// The record's variant name (the trace explorer's `--kind`
+    /// vocabulary).
+    #[must_use]
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            TraceEvent::Recorded { .. } => "Recorded",
+            TraceEvent::RecordDropped { .. } => "RecordDropped",
+            TraceEvent::Erased { .. } => "Erased",
+            TraceEvent::MessageSent { .. } => "MessageSent",
+            TraceEvent::ChunkStored { .. } => "ChunkStored",
+            TraceEvent::ChunkRemoved { .. } => "ChunkRemoved",
+            TraceEvent::Migrated { .. } => "Migrated",
+            TraceEvent::LeaderElected { .. } => "LeaderElected",
+            TraceEvent::Occupancy { .. } => "Occupancy",
+            TraceEvent::SourceStarted { .. } => "SourceStarted",
+            TraceEvent::SourceStopped { .. } => "SourceStopped",
+            TraceEvent::FaultInjected { .. } => "FaultInjected",
+        }
+    }
+
+    /// True when the record concerns `node` (either endpoint of a
+    /// migration; the afflicted node of a node-scoped fault; source
+    /// markers concern no node).
+    #[must_use]
+    pub fn involves(&self, node: NodeId) -> bool {
+        match *self {
+            TraceEvent::Recorded { node: n, .. }
+            | TraceEvent::RecordDropped { node: n, .. }
+            | TraceEvent::Erased { node: n, .. }
+            | TraceEvent::MessageSent { node: n, .. }
+            | TraceEvent::LeaderElected { node: n, .. }
+            | TraceEvent::Occupancy { node: n, .. } => n == node,
+            TraceEvent::ChunkStored {
+                node: n, origin, ..
+            }
+            | TraceEvent::ChunkRemoved {
+                node: n, origin, ..
+            } => n == node || origin == node,
+            TraceEvent::Migrated { from, to, .. } => from == node || to == node,
+            TraceEvent::FaultInjected { node: n, .. } => n == Some(node),
+            TraceEvent::SourceStarted { .. } | TraceEvent::SourceStopped { .. } => false,
+        }
+    }
+
+    /// The record's protocol-level label, when it has one (`MessageSent`
+    /// message kinds, `FaultInjected` fault kinds).
+    #[must_use]
+    pub fn label(&self) -> Option<&str> {
+        match self {
+            TraceEvent::MessageSent { kind, .. } | TraceEvent::FaultInjected { kind, .. } => {
+                Some(kind)
+            }
+            _ => None,
         }
     }
 }
@@ -263,14 +326,12 @@ impl Trace {
     /// asserts across refactors.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        use core::fmt::Write as _;
+        let mut h = Fnv1a::new();
         for e in &self.events {
-            for b in format!("{e:?}").bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            write!(h, "{e:?}").expect("hashing never fails");
         }
-        h
+        h.finish()
     }
 }
 
@@ -304,7 +365,7 @@ mod tests {
     fn sample_event(t: u64) -> TraceEvent {
         TraceEvent::MessageSent {
             node: NodeId(1),
-            kind: "SENSING",
+            kind: "SENSING".into(),
             bytes: 12,
             t: SimTime::from_jiffies(t),
         }
@@ -340,13 +401,12 @@ mod tests {
         assert_ne!(Trace::new().digest(), ab.digest());
     }
 
-    #[test]
-    fn time_accessor_covers_all_variants() {
-        let t = SimTime::from_jiffies(9);
-        let evs = [
+    /// One record of every variant, all stamped `t`.
+    fn every_variant(t: SimTime) -> Vec<TraceEvent> {
+        vec![
             TraceEvent::Recorded {
                 node: NodeId(0),
-                event: None,
+                event: Some(EventId::new(NodeId(0), 1)),
                 t0: t,
                 t1: t,
                 bytes: 1,
@@ -364,6 +424,28 @@ mod tests {
                 t1: t,
                 bytes: 0,
             },
+            TraceEvent::MessageSent {
+                node: NodeId(2),
+                kind: "TASK_REQUEST".into(),
+                bytes: 17,
+                t,
+            },
+            TraceEvent::ChunkStored {
+                node: NodeId(3),
+                origin: NodeId(0),
+                event: None,
+                audio_t0: t,
+                audio_t1: t,
+                bytes: 232,
+                t,
+            },
+            TraceEvent::ChunkRemoved {
+                node: NodeId(3),
+                origin: NodeId(0),
+                audio_t0: t,
+                audio_t1: t,
+                t,
+            },
             TraceEvent::Migrated {
                 from: NodeId(0),
                 to: NodeId(1),
@@ -375,7 +457,7 @@ mod tests {
             TraceEvent::LeaderElected {
                 node: NodeId(0),
                 event: EventId::new(NodeId(0), 1),
-                handoff: false,
+                handoff: true,
                 t,
             },
             TraceEvent::Occupancy {
@@ -393,13 +475,86 @@ mod tests {
                 t,
             },
             TraceEvent::FaultInjected {
-                kind: "CRASH",
+                kind: "CRASH".into(),
                 node: Some(NodeId(0)),
                 t,
             },
-        ];
-        for e in evs {
+        ]
+    }
+
+    /// The digest as first written: FNV-1a over one allocated `Debug`
+    /// string per record. The streaming digest must agree with it.
+    fn digest_by_format(trace: &Trace) -> u64 {
+        let mut h = Fnv1a::new();
+        for e in trace {
+            h.write_bytes(format!("{e:?}").as_bytes());
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn time_accessor_covers_all_variants() {
+        let t = SimTime::from_jiffies(9);
+        for e in every_variant(t) {
             assert_eq!(e.time(), t);
+        }
+    }
+
+    #[test]
+    fn streaming_digest_matches_formatted_oracle() {
+        let mut trace: Trace = every_variant(SimTime::from_jiffies(9))
+            .into_iter()
+            .collect();
+        trace.extend(every_variant(SimTime::from_jiffies(123_456_789)));
+        // An owned label renders like the borrowed one it was read from.
+        trace.push(TraceEvent::FaultInjected {
+            kind: Cow::Owned("REBOOT".to_string()),
+            node: None,
+            t: SimTime::ZERO,
+        });
+        assert_eq!(trace.digest(), digest_by_format(&trace));
+        assert_eq!(Trace::new().digest(), digest_by_format(&Trace::new()));
+    }
+
+    #[test]
+    fn variant_names_labels_and_involvement() {
+        let events = every_variant(SimTime::ZERO);
+        let names: Vec<&str> = events.iter().map(TraceEvent::kind_name).collect();
+        assert_eq!(
+            names,
+            [
+                "Recorded",
+                "RecordDropped",
+                "Erased",
+                "MessageSent",
+                "ChunkStored",
+                "ChunkRemoved",
+                "Migrated",
+                "LeaderElected",
+                "Occupancy",
+                "SourceStarted",
+                "SourceStopped",
+                "FaultInjected",
+            ]
+        );
+        let labels: Vec<&str> = events.iter().filter_map(TraceEvent::label).collect();
+        assert_eq!(labels, ["TASK_REQUEST", "CRASH"]);
+        let involving_0 = events.iter().filter(|e| e.involves(NodeId(0))).count();
+        // Every record but the message from node 2 and the two source
+        // markers concerns node 0 (as actor, origin, or migration end).
+        assert_eq!(involving_0, events.len() - 3);
+        assert!(events[6].involves(NodeId(1)), "migration recipient");
+        assert!(events[4].involves(NodeId(3)), "chunk holder");
+    }
+
+    #[test]
+    fn records_round_trip_through_serde() {
+        for e in every_variant(SimTime::from_jiffies(77)) {
+            // Labels come back owned; they compare and render like the
+            // borrowed originals.
+            let back = TraceEvent::from_value(&e.to_value()).expect("parses");
+            assert_eq!(back, e);
+            assert_eq!(format!("{back:?}"), format!("{e:?}"));
         }
     }
 }

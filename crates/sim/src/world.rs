@@ -806,9 +806,11 @@ impl World {
         let t = self.inner.now;
         self.inner.metrics.faults_injected.inc();
         let mark = |inner: &mut Inner, kind: &'static str, node: Option<NodeId>| {
-            inner
-                .trace
-                .push(TraceEvent::FaultInjected { kind, node, t });
+            inner.trace.push(TraceEvent::FaultInjected {
+                kind: kind.into(),
+                node,
+                t,
+            });
         };
         match action {
             FaultAction::Crash { node } => {
@@ -1192,7 +1194,7 @@ impl Runtime for Context<'_> {
         self.inner.metrics.packets_sent.inc();
         self.inner.trace.push(TraceEvent::MessageSent {
             node: self.node,
-            kind,
+            kind: kind.into(),
             bytes: bytes.len() as u32,
             t: self.inner.now,
         });
@@ -1645,7 +1647,7 @@ mod tests {
             .trace()
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::MessageSent { kind, .. } => Some(*kind),
+                TraceEvent::MessageSent { kind, .. } => Some(kind.as_ref()),
                 _ => None,
             })
             .collect();
@@ -1779,7 +1781,7 @@ mod tests {
             .trace()
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::FaultInjected { kind, .. } => Some(*kind),
+                TraceEvent::FaultInjected { kind, .. } => Some(kind.as_ref()),
                 _ => None,
             })
             .collect();

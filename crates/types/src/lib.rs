@@ -17,6 +17,10 @@
 //! * [`Bytes`] — a cheaply clonable immutable byte buffer, used for radio
 //!   payloads shared across a broadcast fan-out.
 //! * [`audio`] — constants tying sampling rate to storage volume.
+//! * [`Fnv1a`] — the streaming FNV-1a digester behind every determinism
+//!   fingerprint.
+//! * [`map_ordered`] — the order-preserving worker pool behind every
+//!   parallel stage.
 //!
 //! # Examples
 //!
@@ -36,14 +40,18 @@
 pub mod audio;
 mod bytes;
 mod event;
+mod fnv;
 mod geometry;
 mod node;
+mod pool;
 mod source;
 mod time;
 
 pub use bytes::Bytes;
 pub use event::EventId;
+pub use fnv::Fnv1a;
 pub use geometry::Position;
 pub use node::NodeId;
+pub use pool::{map_ordered, pool_size};
 pub use source::SourceId;
 pub use time::{SimDuration, SimTime, JIFFIES_PER_SEC};

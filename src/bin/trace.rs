@@ -101,7 +101,7 @@ fn selected(run: &RunDump, index: usize, selector: &str) -> bool {
     }
 }
 
-fn print_summary(run: &RunDump, events: &[&enviromic::observe::TraceRecord], filtered: bool) {
+fn print_summary(run: &RunDump, events: &[&enviromic::sim::TraceEvent], filtered: bool) {
     println!(
         "run {}/{}: digest {}  {} events{}",
         run.label,

@@ -2,12 +2,12 @@
 //!
 //! The paper's headline results are averages over many seeds and
 //! scenarios. This module turns a [`SweepPlan`] — the cross product of
-//! seeds × scenario/config points — into independent jobs executed on a
-//! `std::thread` worker pool, where **each job owns its own `World`, RNG,
-//! and telemetry registry**. Nothing is shared between jobs except the
-//! job queue itself, so a seed's trace digest is bit-identical whether
-//! the sweep runs on one worker or sixteen (the determinism contract;
-//! see `tests/determinism.rs` and DESIGN.md §10).
+//! seeds × scenario/config points — into independent jobs executed on the
+//! workspace's ordered worker pool ([`map_ordered`]), where **each job
+//! owns its own `World`, RNG, and telemetry registry**. Nothing is shared
+//! between jobs except the pool's job cursor, so a seed's trace digest is
+//! bit-identical whether the sweep runs on one worker or sixteen (the
+//! determinism contract; see `tests/determinism.rs` and DESIGN.md §10).
 //!
 //! Results come back in **plan order** regardless of completion order:
 //! per-job records (trace digest, event count, wall-clock) plus one
@@ -32,14 +32,13 @@ use crate::harness::{
 use enviromic_core::{Mode, NodeConfig, PolicyKind};
 use enviromic_sim::{FaultPlan, WorldConfig};
 use enviromic_telemetry::TelemetryReport;
-use enviromic_types::SimDuration;
+use enviromic_types::{map_ordered, pool_size, SimDuration};
 use enviromic_workloads::{
     city_scenario, forest_scenario, indoor_scenario, mobile_scenario, CityParams, ForestParams,
     IndoorParams, MobileParams, Scenario,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything one job needs to stand up and run its own world.
@@ -514,20 +513,12 @@ impl SweepSummary {
     }
 }
 
-/// One queued unit of work.
-struct SweepJob {
-    index: usize,
-    seed: u64,
-    spec: ScenarioSpec,
-    timeline_secs: Option<f64>,
-}
-
 /// Executes a single job: builds the world from the spec, runs it to
 /// completion, and digests the trace.
-fn execute(job: &SweepJob) -> JobOutcome {
+fn execute(spec: &ScenarioSpec, seed: u64, timeline_secs: Option<f64>) -> JobOutcome {
     let started = Instant::now();
-    let mut input = job.spec.build(job.seed);
-    if let Some(secs) = job.timeline_secs {
+    let mut input = spec.build(seed);
+    if let Some(secs) = timeline_secs {
         input.world_cfg.timeline_sample_period = Some(SimDuration::from_secs_f64(secs));
     }
     let run = run_scenario_with_faults(
@@ -538,8 +529,8 @@ fn execute(job: &SweepJob) -> JobOutcome {
         &input.faults,
     );
     JobOutcome {
-        label: job.spec.label.clone(),
-        seed: job.seed,
+        label: spec.label.clone(),
+        seed,
         digest: run.trace.digest(),
         events: run.trace.len(),
         wall_secs: started.elapsed().as_secs_f64(),
@@ -550,58 +541,27 @@ fn execute(job: &SweepJob) -> JobOutcome {
 /// Runs every job of `plan` on a pool of `workers` threads and returns
 /// the outcomes in plan order.
 ///
-/// `workers` is clamped to `[1, job_count]`. Work distribution is a
-/// shared `Mutex<VecDeque>` job queue (idle workers steal the next job),
-/// which affects only *which thread* runs a job — never its result,
-/// because each job owns all of its mutable state.
+/// `workers` is clamped to `[1, job_count]`. The jobs go through
+/// [`map_ordered`], so the pool size decides only *which thread* runs a
+/// job — never its result, because each job owns all of its mutable
+/// state.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a job's scenario was invalid).
+/// Panics if a job panics (its scenario was invalid).
 #[must_use]
 pub fn run_sweep(plan: &SweepPlan, workers: usize) -> SweepOutcome {
     let started = Instant::now();
-    let jobs: VecDeque<SweepJob> = plan
+    let jobs: Vec<(&ScenarioSpec, u64)> = plan
         .scenarios
         .iter()
-        .flat_map(|spec| plan.seeds.iter().map(move |&seed| (spec.clone(), seed)))
-        .enumerate()
-        .map(|(index, (spec, seed))| SweepJob {
-            index,
-            seed,
-            spec,
-            timeline_secs: plan.timeline_secs,
-        })
+        .flat_map(|spec| plan.seeds.iter().map(move |&seed| (spec, seed)))
         .collect();
-    let total = jobs.len();
-    let workers = workers.clamp(1, total.max(1));
-
-    let queue = Mutex::new(jobs);
-    let results: Mutex<Vec<Option<JobOutcome>>> = Mutex::new((0..total).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let Some(job) = queue.lock().expect("job queue poisoned").pop_front() else {
-                        break;
-                    };
-                    let outcome = execute(&job);
-                    results.lock().expect("result table poisoned")[job.index] = Some(outcome);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("sweep worker panicked");
-        }
+    let workers = pool_size(workers, jobs.len());
+    let jobs = map_ordered(&jobs, workers, |&(spec, seed)| {
+        execute(spec, seed, plan.timeline_secs)
     });
 
-    let jobs: Vec<JobOutcome> = results
-        .into_inner()
-        .expect("result table poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("job finished without a result"))
-        .collect();
     // Merge in plan order so the aggregate is independent of which worker
     // finished first.
     let mut aggregate = TelemetryReport::default();

@@ -90,7 +90,9 @@ fn network_survives_a_node_dying_mid_run() {
         .trace()
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::FaultInjected { kind, node, .. } if *node == Some(leader) => Some(*kind),
+            TraceEvent::FaultInjected { kind, node, .. } if *node == Some(leader) => {
+                Some(kind.as_ref())
+            }
             _ => None,
         })
         .collect();

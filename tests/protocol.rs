@@ -147,7 +147,7 @@ fn uncoordinated_baseline_records_redundantly() {
         .iter()
         .filter(|e| {
             matches!(e, TraceEvent::MessageSent { kind, .. }
-                if ["SENSING", "TASK_REQUEST", "LEADER_ANNOUNCE"].contains(kind))
+                if ["SENSING", "TASK_REQUEST", "LEADER_ANNOUNCE"].contains(&kind.as_ref()))
         })
         .count();
     assert_eq!(control, 0);
