@@ -14,7 +14,8 @@
 //!    the same query.
 //!
 //! Only wall-clock figures (throughput, latency percentiles) vary across
-//! worker counts, and those never enter the committed artifact.
+//! worker counts; they stay on [`ServeOutcome`] and never enter the
+//! committed artifact or the registry.
 
 use crate::cache::{CacheDecision, CacheStats, QueryCache};
 use crate::store::{ArchiveStore, QueryResult, RangeQuery};
@@ -103,8 +104,9 @@ impl ServeOutcome {
 /// Serves `queries` against `store` with an LRU cache of
 /// `cache_capacity` distinct queries on a pool of `workers` threads.
 /// Results, cache stats, and digests are bit-identical at any worker
-/// count; `registry` (when given) receives the `archive.cache.*`
-/// counters and `archive.query.*` figures on the coordinator thread.
+/// count; `registry` (when given) receives the deterministic
+/// `archive.cache.*` counters and `archive.query.*` figures on the
+/// coordinator thread.
 ///
 /// # Panics
 ///
@@ -170,9 +172,6 @@ pub fn serve_queries(
             #[allow(clippy::cast_precision_loss)]
             results_hist.observe(r.len() as f64);
         }
-        let latency_hist = reg.histogram("archive.query.latency_us");
-        latency_hist.observe(outcome.latency.p50_us);
-        latency_hist.observe(outcome.latency.p99_us);
     }
     outcome
 }

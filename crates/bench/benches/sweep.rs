@@ -28,7 +28,7 @@ fn bench_pool(c: &mut Criterion) {
     group.sample_size(10);
     for (label, workers) in [("jobs_1", 1), ("jobs_pool", pool_workers())] {
         group.bench_function(label, |b| {
-            let plan = SweepPlan::quick(vec![42, 43, 44, 45]).with_duration(30.0);
+            let plan = SweepPlan::quick(vec![42, 43, 44, 45], 30.0);
             b.iter(|| black_box(run_sweep(&plan, workers).digests()));
         });
     }
@@ -47,7 +47,7 @@ struct SweepBaseline {
 /// Runs the quick sweep serially and pooled, checks digest equality, and
 /// writes the combined baseline JSON.
 fn emit_baseline() {
-    let plan = SweepPlan::quick((42..50).collect());
+    let plan = SweepPlan::quick((42..50).collect(), 120.0);
     let serial = run_sweep(&plan, 1);
     let pooled = run_sweep(&plan, pool_workers());
     assert_eq!(

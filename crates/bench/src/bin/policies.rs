@@ -22,7 +22,8 @@
 //! and diffs the result against the committed `BENCH_policies.json`.
 
 use enviromic_bench::ablation::{run_policy_matrix, PolicyMatrix};
-use enviromic_telemetry::{log, log_info, log_warn};
+use enviromic_bench::write_with_parents;
+use enviromic_telemetry::{log, log_info};
 
 struct Options {
     seeds: u64,
@@ -80,22 +81,6 @@ fn parse_args() -> Options {
     opts
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[policies] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn digest_table(matrix: &PolicyMatrix) -> String {
     let mut table = String::new();
     for r in &matrix.rows {
@@ -118,8 +103,8 @@ fn main() {
     );
     let matrix = run_policy_matrix(&seeds, opts.duration, opts.jobs);
     print!("{}", matrix.render());
-    write_with_parents(&opts.out, &matrix.to_json());
+    write_with_parents("policies", &opts.out, &matrix.to_json());
     if let Some(path) = &opts.digests_out {
-        write_with_parents(path, &digest_table(&matrix));
+        write_with_parents("policies", path, &digest_table(&matrix));
     }
 }

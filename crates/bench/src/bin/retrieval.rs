@@ -24,7 +24,8 @@
 //! the console.
 
 use enviromic_bench::retrieval::{digest_table, run_retrieval, RetrievalOptions};
-use enviromic_telemetry::{log, log_info, log_warn};
+use enviromic_bench::write_with_parents;
+use enviromic_telemetry::{log, log_info};
 
 struct Options {
     bench: RetrievalOptions,
@@ -81,22 +82,6 @@ fn parse_args() -> Options {
     opts
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[retrieval] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let opts = parse_args();
     log_info!(
@@ -133,11 +118,11 @@ fn main() {
         run.outcome.latency.p50_us,
         run.outcome.latency.p99_us,
     );
-    write_with_parents(&opts.out, &run.report.to_json());
+    write_with_parents("retrieval", &opts.out, &run.report.to_json());
     if let Some(path) = &opts.digests_out {
-        write_with_parents(path, &digest_table(&run));
+        write_with_parents("retrieval", path, &digest_table(&run));
     }
     if let Some(path) = &opts.telemetry_out {
-        write_with_parents(path, &run.telemetry.to_json());
+        write_with_parents("retrieval", path, &run.telemetry.to_json());
     }
 }

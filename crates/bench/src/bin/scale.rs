@@ -26,7 +26,8 @@
 //! which is an uploaded artifact, not a diffed one.)
 
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
-use enviromic_telemetry::{log, log_info, log_warn};
+use enviromic_bench::write_with_parents;
+use enviromic_telemetry::{log, log_info};
 use serde::{Deserialize, Serialize};
 
 /// The node counts of the scale ladder. The 40k and 100k rungs exist
@@ -117,22 +118,6 @@ struct ScaleReport {
     rows: Vec<ScaleRow>,
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[scale] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Checks every produced row against its same-label committed row. A
 /// produced row with no committed counterpart is itself a mismatch — a
 /// renamed rung must not silently skip validation.
@@ -206,6 +191,7 @@ fn main() {
         rows,
     };
     write_with_parents(
+        "scale",
         &opts.out,
         &serde::Serialize::to_value(&report).to_json_pretty(),
     );

@@ -34,8 +34,9 @@
 
 use enviromic::observe::{DumpFile, RunDump};
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
+use enviromic_bench::write_with_parents;
 use enviromic_core::PolicyKind;
-use enviromic_telemetry::{log, log_info, log_warn};
+use enviromic_telemetry::{log, log_info};
 
 struct Options {
     seeds: u64,
@@ -117,22 +118,6 @@ fn parse_args() -> Options {
     opts
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[sweep] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let opts = parse_args();
     let scenarios = if opts.chaos {
@@ -174,7 +159,7 @@ fn main() {
     let summary = outcome.summary();
     print!("{}", summary.render());
 
-    write_with_parents(&opts.out, &summary.to_json());
+    write_with_parents("sweep", &opts.out, &summary.to_json());
     if let Some(path) = &opts.timeline_out {
         // Digest + timeline per job; the event ledgers would dwarf the file.
         let dump = DumpFile {
@@ -184,7 +169,7 @@ fn main() {
                 .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, false))
                 .collect(),
         };
-        write_with_parents(path, &dump.to_json());
+        write_with_parents("sweep", path, &dump.to_json());
     }
     if let Some(path) = &opts.digests_out {
         let mut table = String::new();
@@ -194,6 +179,6 @@ fn main() {
                 j.label, j.seed, j.digest, j.events
             ));
         }
-        write_with_parents(path, &table);
+        write_with_parents("sweep", path, &table);
     }
 }

@@ -2,42 +2,31 @@
 //!
 //! ```text
 //! telemetry-diff --baseline PATH --current PATH [--write] [-q | --verbose]
-//! telemetry-diff --baseline PATH --self-test [-q | --verbose]
 //!
-//! --baseline PATH   committed TelemetryBaseline JSON (tolerances + report)
+//! --baseline PATH   committed baseline: a TelemetryReport JSON
 //! --current PATH    the run to judge: a TelemetryReport JSON, or a sweep
 //!                   summary JSON (its aggregate report is used)
-//! --write           (re)capture: wrap --current in the default tolerance
-//!                   policy and write it to --baseline instead of diffing
-//! --self-test       self-test-only mode: inject drift (both directions)
-//!                   into the baseline's own report, require the gate to
-//!                   catch it, and exit — no --current needed
+//! --write           (re)capture: write --current, spans stripped, to
+//!                   --baseline instead of diffing
 //! ```
 //!
-//! `--self-test` is its own mode so CI can run it as a separate step: a
-//! red self-test step means *the gate is broken*, a red diff step means
-//! *the metrics drifted* — the two failures are distinguishable at a
-//! glance.
-//!
-//! Exits 0 when every metric is inside its tolerance band (or the
-//! self-test passes), 1 on drift or a failed self-test, 2 on usage
-//! errors. See `gate` module docs for the band semantics.
+//! Exits 0 when every counter, gauge and histogram equals the baseline's,
+//! 1 on drift or when `--write` cannot write, 2 on usage errors. Spans are
+//! wall-clock and never compared. See the `gate` module docs.
 
-use enviromic_bench::gate::{self, TelemetryBaseline};
-use enviromic_telemetry::{log, log_info, TelemetryReport};
+use enviromic_bench::{gate, write_with_parents};
+use enviromic_telemetry::{log, TelemetryReport};
 
 struct Options {
     baseline: String,
     current: String,
     write: bool,
-    self_test: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: telemetry-diff --baseline PATH --current PATH [--write] \
-         [-q|--quiet] [-v|--verbose]\n\
-         \x20      telemetry-diff --baseline PATH --self-test [-q|--quiet] [-v|--verbose]"
+         [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -47,7 +36,6 @@ fn parse_args() -> Options {
         baseline: String::new(),
         current: String::new(),
         write: false,
-        self_test: false,
     };
     let mut quiet = false;
     let mut verbose = false;
@@ -58,7 +46,6 @@ fn parse_args() -> Options {
             "--baseline" => opts.baseline = value(),
             "--current" => opts.current = value(),
             "--write" => opts.write = true,
-            "--self-test" => opts.self_test = true,
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => usage(),
@@ -66,10 +53,7 @@ fn parse_args() -> Options {
         }
     }
     log::init_from_flags(quiet, verbose);
-    if opts.baseline.is_empty() || (opts.current.is_empty() && !opts.self_test) {
-        usage();
-    }
-    if opts.self_test && (opts.write || !opts.current.is_empty()) {
+    if opts.baseline.is_empty() || opts.current.is_empty() {
         usage();
     }
     opts
@@ -82,8 +66,8 @@ fn read(path: &str) -> String {
     })
 }
 
-fn parse_baseline(path: &str) -> TelemetryBaseline {
-    TelemetryBaseline::from_json(&read(path)).unwrap_or_else(|e| {
+fn parse_baseline(path: &str) -> TelemetryReport {
+    TelemetryReport::from_json(&read(path)).unwrap_or_else(|e| {
         eprintln!("telemetry-diff: could not parse baseline {path}: {e}");
         std::process::exit(2);
     })
@@ -111,40 +95,11 @@ fn parse_current(path: &str, text: &str) -> TelemetryReport {
 
 fn main() {
     let opts = parse_args();
-
-    if opts.self_test {
-        let baseline = parse_baseline(&opts.baseline);
-        match gate::self_test(&baseline) {
-            Ok(caught) => {
-                println!(
-                    "telemetry gate self-test: OK — caught {} injected drifts ({})",
-                    caught.len(),
-                    opts.baseline
-                );
-            }
-            Err(e) => {
-                eprintln!("telemetry-diff: SELF-TEST FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let current = parse_current(&opts.current, &read(&opts.current));
+    let mut current = parse_current(&opts.current, &read(&opts.current));
 
     if opts.write {
-        let baseline = TelemetryBaseline::capture(current);
-        let path = std::path::Path::new(&opts.baseline);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        if let Err(e) = std::fs::write(path, baseline.to_json()) {
-            eprintln!("telemetry-diff: could not write {}: {e}", opts.baseline);
-            std::process::exit(2);
-        }
-        log_info!("[telemetry-diff] baseline written to {}", opts.baseline);
+        current.spans.clear();
+        write_with_parents("telemetry-diff", &opts.baseline, &current.to_json());
         return;
     }
 

@@ -28,3 +28,24 @@ pub mod gate;
 pub mod indoor;
 pub mod outdoor;
 pub mod retrieval;
+
+use enviromic_telemetry::{log_info, log_warn};
+
+/// Writes `contents` to `path`, creating missing parent directories, and
+/// logs the write under `[tool]`. Exits the process with status 1 when
+/// the file cannot be written.
+pub fn write_with_parents(tool: &str, path: &str, contents: &str) {
+    let p = std::path::Path::new(path);
+    if let Some(parent) = p.parent() {
+        if !parent.as_os_str().is_empty() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+    }
+    match std::fs::write(p, contents) {
+        Ok(()) => log_info!("[{tool}] wrote {path}"),
+        Err(e) => {
+            log_warn!("could not write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}

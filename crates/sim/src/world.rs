@@ -10,14 +10,11 @@ use crate::spatial::{AudibleIndex, NodeGrid};
 use enviromic_runtime::{
     Application, AudioBlock, EnergyModel, Runtime, Timer, TimerHandle, Trace, TraceEvent,
 };
-use enviromic_telemetry::{
-    Counter, Histogram, Registry, TelemetryReport, Timeline, TimelineReport,
-};
+use enviromic_telemetry::{Counter, Registry, TelemetryReport, Timeline, TimelineReport};
 use enviromic_types::{audio, Bytes, NodeId, Position, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Internal queue payloads.
 #[derive(Debug)]
@@ -154,7 +151,6 @@ struct SimMetrics {
     timers_fired: Counter,
     faults_injected: Counter,
     timeline_samples: Counter,
-    dispatch_us: Histogram,
 }
 
 impl SimMetrics {
@@ -168,7 +164,6 @@ impl SimMetrics {
             timers_fired: reg.counter("sim.timers.fired"),
             faults_injected: reg.counter("sim.faults.injected"),
             timeline_samples: reg.counter("sim.timeline.samples"),
-            dispatch_us: reg.histogram("sim.dispatch_us"),
         }
     }
 }
@@ -606,20 +601,11 @@ impl World {
         let mut app = self.apps[node.index()]
             .take()
             .expect("re-entrant dispatch on one node");
-        {
-            let started = Instant::now();
-            let mut ctx = Context {
-                inner: &mut self.inner,
-                node,
-            };
-            f(app.as_mut(), &mut ctx);
-            // Wall-clock cost of the callback; purely observational, so
-            // simulation determinism is unaffected.
-            self.inner
-                .metrics
-                .dispatch_us
-                .observe(started.elapsed().as_secs_f64() * 1e6);
-        }
+        let mut ctx = Context {
+            inner: &mut self.inner,
+            node,
+        };
+        f(app.as_mut(), &mut ctx);
         self.apps[node.index()] = Some(app);
     }
 
@@ -1675,6 +1661,23 @@ mod tests {
             format!("{:?}", w.trace().events())
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn identical_configs_identical_telemetry() {
+        let run = || {
+            let mut cfg = WorldConfig::with_seed(7);
+            cfg.timeline_sample_period = Some(SimDuration::from_secs_f64(0.5));
+            let mut w = World::new(cfg);
+            for i in 0..6 {
+                w.add_node(Position::new(f64::from(i), 0.0), Box::new(Chatter));
+            }
+            w.run_for_secs(3.0);
+            w.into_parts().1
+        };
+        let first = run();
+        assert!(first.counter("sim.packets.sent").unwrap_or(0) > 0);
+        assert_eq!(first, run(), "every metric is a function of the run");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! ```
 //! use enviromic::sweep::{run_sweep, SweepPlan};
 //!
-//! let plan = SweepPlan::quick(vec![1, 2]).with_duration(20.0);
+//! let plan = SweepPlan::quick(vec![1, 2], 20.0);
 //! let serial = run_sweep(&plan, 1);
 //! let pooled = run_sweep(&plan, 4);
 //! assert_eq!(serial.digests(), pooled.digests());
@@ -290,15 +290,16 @@ impl SweepPlan {
         }
     }
 
-    /// The standard quick sweep: quick-indoor × quick-forest at 120 s,
-    /// the grid CI diffs across worker counts.
+    /// The standard quick sweep: quick-indoor × quick-forest, each
+    /// `duration_secs` long (CI diffs the 120 s grid across worker
+    /// counts).
     #[must_use]
-    pub fn quick(seeds: Vec<u64>) -> Self {
+    pub fn quick(seeds: Vec<u64>, duration_secs: f64) -> Self {
         SweepPlan::new(
             seeds,
             vec![
-                ScenarioSpec::quick_indoor(120.0),
-                ScenarioSpec::quick_forest(120.0),
+                ScenarioSpec::quick_indoor(duration_secs),
+                ScenarioSpec::quick_forest(duration_secs),
             ],
         )
     }
@@ -307,36 +308,14 @@ impl SweepPlan {
     /// injected (`sweep --chaos`). CI diffs its digests across worker
     /// counts exactly like the fault-free grid.
     #[must_use]
-    pub fn chaos(seeds: Vec<u64>) -> Self {
+    pub fn chaos(seeds: Vec<u64>, duration_secs: f64) -> Self {
         SweepPlan::new(
             seeds,
             vec![
-                ScenarioSpec::chaos_indoor(120.0),
-                ScenarioSpec::chaos_forest(120.0),
+                ScenarioSpec::chaos_indoor(duration_secs),
+                ScenarioSpec::chaos_forest(duration_secs),
             ],
         )
-    }
-
-    /// Rebuilds every scenario point at a different duration (only
-    /// meaningful for plans built from the stock quick points).
-    #[must_use]
-    pub fn with_duration(self, duration_secs: f64) -> Self {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|s| match s.label.as_str() {
-                "quick-indoor" => ScenarioSpec::quick_indoor(duration_secs),
-                "quick-forest" => ScenarioSpec::quick_forest(duration_secs),
-                "chaos-indoor" => ScenarioSpec::chaos_indoor(duration_secs),
-                "chaos-forest" => ScenarioSpec::chaos_forest(duration_secs),
-                _ => s.clone(),
-            })
-            .collect();
-        SweepPlan {
-            seeds: self.seeds,
-            scenarios,
-            timeline_secs: self.timeline_secs,
-        }
     }
 
     /// Enables per-job timeline sampling at `secs` of sim-time per sample.
@@ -581,7 +560,7 @@ mod tests {
     use super::*;
 
     fn tiny_plan() -> SweepPlan {
-        SweepPlan::quick(vec![1, 2]).with_duration(20.0)
+        SweepPlan::quick(vec![1, 2], 20.0)
     }
 
     #[test]
@@ -590,21 +569,9 @@ mod tests {
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
-        // Counters merge in plan order, so the aggregates agree too.
-        // Wall-clock observations (spans, sim.dispatch_us) are excluded:
-        // they measure host timing, not simulation behaviour.
-        assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
-        let behavioural = |r: &TelemetryReport| {
-            r.histograms
-                .iter()
-                .filter(|(k, _)| k != "sim.dispatch_us")
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            behavioural(&serial.aggregate),
-            behavioural(&pooled.aggregate)
-        );
+        // Reports merge in plan order and hold no wall-clock metric, so
+        // the aggregates agree exactly too.
+        assert_eq!(serial.aggregate, pooled.aggregate);
     }
 
     #[test]
@@ -634,7 +601,7 @@ mod tests {
 
     #[test]
     fn summary_round_trips_through_json() {
-        let out = run_sweep(&SweepPlan::quick(vec![5]).with_duration(10.0), 2);
+        let out = run_sweep(&SweepPlan::quick(vec![5], 10.0), 2);
         let summary = out.summary();
         let back = SweepSummary::from_json(&summary.to_json()).expect("parses");
         assert_eq!(back, summary);
@@ -647,11 +614,11 @@ mod tests {
 
     #[test]
     fn chaos_sweep_is_bit_identical_across_worker_counts() {
-        let plan = SweepPlan::chaos(vec![3, 4]).with_duration(20.0);
+        let plan = SweepPlan::chaos(vec![3, 4], 20.0);
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
-        assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
+        assert_eq!(serial.aggregate, pooled.aggregate);
         // The chaos plans actually did something in every job.
         for job in &serial.jobs {
             let faults = job
@@ -665,7 +632,7 @@ mod tests {
 
     #[test]
     fn workers_clamped_to_job_count() {
-        let out = run_sweep(&SweepPlan::quick(vec![9]).with_duration(5.0), 64);
+        let out = run_sweep(&SweepPlan::quick(vec![9], 5.0), 64);
         assert_eq!(out.workers, 2, "two jobs cannot use more than two workers");
     }
 }
