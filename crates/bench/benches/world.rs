@@ -1,6 +1,5 @@
 //! Criterion bench for the simulation-core hot loops the spatial index
-//! replaced, doubling as the generator of the machine-readable perf
-//! baseline `BENCH_world.json`.
+//! replaced.
 //!
 //! Three measurements per grid size (25 / 100 / 400 nodes):
 //!
@@ -11,26 +10,20 @@
 //!   [`AudibleIndex`] versus the full [`AcousticField`] source scan;
 //! * **synthesis** — mixing one full audio block per audible node via the
 //!   batched kernel ([`AcousticField::synthesize_batch`]) versus the
-//!   per-sample `sample_from` loop it replaced, reported as ns/sample.
-//!   Both paths consume identical canned noise and are asserted
-//!   byte-identical before timing, so the row isolates the mixing kernel.
+//!   per-sample `sample_from` loop it replaced, with throughput in
+//!   samples/s. Both paths consume identical canned noise, so the row
+//!   isolates the mixing kernel.
 //!
-//! `emit_baseline` re-times both paths with plain `Instant` loops and
-//! writes per-size means and speedups to `BENCH_world.json` in the
-//! workspace root, together with whole-event-loop ns/event rows for the
-//! city-block workload at 1k–100k nodes (the timer-wheel scale ladder).
-//! Set `WORLD_BENCH_QUICK=1` to skip the Criterion groups and only emit
-//! the baseline (the CI mode).
+//! Each pair computes the same function: `crates/sim/tests/prop_sim.rs`
+//! checks grid against brute-force receiver sets and batched against
+//! per-sample bytes. Wall time per event at 1k–100k nodes comes from
+//! `perfbench --trace 1`, not from here.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use enviromic::sweep::ScenarioSpec;
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use enviromic_sim::acoustics::{AcousticField, MixScratch};
 use enviromic_sim::spatial::{AudibleIndex, NodeGrid};
-use enviromic_sim::World;
 use enviromic_types::{audio, Position, SimDuration, SimTime};
 use enviromic_workloads::{large_grid_scenario, LargeGridParams, Scenario};
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Radio range of the indoor world config — the delivery radius the
 /// in-tree scenarios actually run with.
@@ -249,6 +242,8 @@ fn bench_synthesis(c: &mut Criterion) {
         }
         let idx = AudibleIndex::build(&positions, &s.sources);
         let work = synth_work(&idx, &positions, &times);
+        // Report samples/s so rows compare across grid sizes.
+        group.throughput(Throughput::Elements((work.len() * BLOCK_SAMPLES) as u64));
         let mut cand = Vec::new();
         let mut scratch = MixScratch::new();
         let mut out = Vec::new();
@@ -278,226 +273,4 @@ fn bench_synthesis(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_delivery, bench_sampling, bench_synthesis);
-
-/// Times `f` with a warmup-then-measure loop and returns the best mean
-/// ns/round over several repetitions (minimum-of-means damps scheduler
-/// noise, which matters at the 25-node scale where a round is ~1 µs).
-fn time_ns<F: FnMut() -> T, T>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        // Size the batch so one repetition takes ~20ms.
-        let probe = Instant::now();
-        black_box(f());
-        let once = probe.elapsed().as_secs_f64().max(1e-9);
-        let iters = ((0.02 / once) as usize).clamp(1, 1_000_000);
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / iters as f64);
-    }
-    best
-}
-
-/// One measured size in the baseline JSON.
-#[derive(Debug, Serialize, Deserialize)]
-struct WorldCase {
-    nodes: usize,
-    delivery_grid_ns: f64,
-    delivery_brute_ns: f64,
-    delivery_speedup: f64,
-    sampling_indexed_ns: f64,
-    sampling_full_ns: f64,
-    sampling_speedup: f64,
-    /// ns per synthesized sample through the batched mixing kernel.
-    synth_batched_ns_per_sample: f64,
-    /// ns per sample through the per-sample `sample_from` reference path.
-    synth_per_sample_ns_per_sample: f64,
-    synth_speedup: f64,
-}
-
-/// One whole-event-loop throughput row: the city workload run end to end
-/// through the timer-wheel core at a given node count.
-#[derive(Debug, Serialize, Deserialize)]
-struct ScaleCase {
-    nodes: usize,
-    sim_secs: f64,
-    events: u64,
-    ns_per_event: f64,
-}
-
-/// The serialized baseline for `BENCH_world.json`.
-#[derive(Debug, Serialize, Deserialize)]
-struct WorldBaseline {
-    bench: String,
-    radio_range_ft: f64,
-    cases: Vec<WorldCase>,
-    /// Event-loop throughput on the city scale ladder (1k–100k nodes).
-    scale: Vec<ScaleCase>,
-}
-
-/// Node counts of the city event-loop ladder. The 40k and 100k rungs ride
-/// on sparse flash backing and the escape-coded node-ID wire format.
-const SCALE_SIZES: [usize; 5] = [1_000, 4_000, 10_000, 40_000, 100_000];
-
-/// Sim-time horizon of each city throughput run, seconds.
-const SCALE_SIM_SECS: f64 = 10.0;
-
-/// Runs the city workload end to end at `nodes` and returns its
-/// throughput row. The setup (world build, spatial indexes) is excluded:
-/// the row measures the event loop itself — queue scheduling, timer-wheel
-/// cascades, delivery, and protocol dispatch.
-fn scale_case(nodes: usize) -> ScaleCase {
-    let input = ScenarioSpec::city(nodes, SCALE_SIM_SECS).build(42);
-    let mut world = World::new(input.world_cfg);
-    for &pos in input.scenario.topology.positions() {
-        world.add_node(
-            pos,
-            Box::new(enviromic::core::EnviroMicNode::new(input.node_cfg.clone())),
-        );
-    }
-    for src in &input.scenario.sources {
-        world.add_source(src.clone()).expect("valid source");
-    }
-    // Dispatch one event so startup (index builds, on_start fan-out) is
-    // settled before the clock starts.
-    world.run_for_secs(0.0);
-    let warmup = world.events_dispatched();
-    let t0 = Instant::now();
-    world.run_for_secs(SCALE_SIM_SECS);
-    let wall = t0.elapsed().as_secs_f64();
-    let events = world.events_dispatched() - warmup;
-    ScaleCase {
-        nodes,
-        sim_secs: SCALE_SIM_SECS,
-        events,
-        ns_per_event: wall * 1e9 / events.max(1) as f64,
-    }
-}
-
-/// Measures every size with plain `Instant` loops and writes the combined
-/// baseline JSON to the workspace root.
-fn emit_baseline() {
-    let times = sample_times();
-    let mut cases = Vec::new();
-    for (cols, rows) in SIZES {
-        let s = scenario(cols, rows);
-        let positions = s.topology.positions().to_vec();
-        let alive = vec![true; positions.len()];
-        let grid = NodeGrid::build(&positions, &alive, RANGE_FT);
-        let mut field = AcousticField::new();
-        for src in &s.sources {
-            field.add_source(src.clone()).expect("valid source");
-        }
-        let idx = AudibleIndex::build(&positions, &s.sources);
-        let mut out = Vec::new();
-        // Equal receiver sets first: the speedup below compares two
-        // implementations of the same function, not two functions.
-        for &p in &positions {
-            grid.query_sorted(p, RANGE_FT, &mut out);
-            let fast = out.clone();
-            brute_receivers(&positions, p, RANGE_FT, &mut out);
-            assert_eq!(fast, out, "grid and brute receiver sets diverge");
-        }
-        // The two synthesis paths must produce identical bytes before
-        // their speeds are worth comparing.
-        let noise = canned_noise();
-        let work = synth_work(&idx, &positions, &times);
-        let mut cand = Vec::new();
-        let mut scratch = MixScratch::new();
-        let mut batched = Vec::new();
-        let mut reference = Vec::new();
-        for &(ni, p, t0) in &work {
-            idx.block_sources(ni, t0, t0 + audio::chunk_duration(), &mut cand);
-            field.synthesize_batch(
-                &cand,
-                p,
-                t0.as_secs_f64(),
-                &noise,
-                &mut scratch,
-                &mut batched,
-            );
-            let t0_s = t0.as_secs_f64();
-            reference.clear();
-            reference.extend(noise.iter().enumerate().map(|(i, &nz)| {
-                let t_s = t0_s + i as f64 / audio::SAMPLE_RATE_HZ as f64;
-                field.sample_from(&cand, p, t_s, nz)
-            }));
-            assert_eq!(batched, reference, "synthesis paths diverge");
-        }
-        let samples_per_round = (work.len() * BLOCK_SAMPLES).max(1) as f64;
-        let synth_batched_ns = time_ns(|| {
-            synth_round_batched(
-                &field,
-                &idx,
-                &work,
-                &noise,
-                &mut cand,
-                &mut scratch,
-                &mut batched,
-            )
-        });
-        let synth_per_sample_ns = time_ns(|| {
-            synth_round_per_sample(&field, &idx, &work, &noise, &mut cand, &mut batched)
-        });
-        let delivery_grid_ns = time_ns(|| grid_round(&grid, &positions, &mut out));
-        let delivery_brute_ns = time_ns(|| brute_round(&positions, &mut out));
-        let sampling_indexed_ns =
-            time_ns(|| indexed_sampling_round(&idx, &field, &positions, &times));
-        let sampling_full_ns = time_ns(|| full_sampling_round(&field, &positions, &times));
-        let case = WorldCase {
-            nodes: positions.len(),
-            delivery_grid_ns,
-            delivery_brute_ns,
-            delivery_speedup: delivery_brute_ns / delivery_grid_ns.max(1e-9),
-            sampling_indexed_ns,
-            sampling_full_ns,
-            sampling_speedup: sampling_full_ns / sampling_indexed_ns.max(1e-9),
-            synth_batched_ns_per_sample: synth_batched_ns / samples_per_round,
-            synth_per_sample_ns_per_sample: synth_per_sample_ns / samples_per_round,
-            synth_speedup: synth_per_sample_ns / synth_batched_ns.max(1e-9),
-        };
-        println!(
-            "world baseline {} nodes: delivery {:.0}ns grid vs {:.0}ns brute ({:.2}x), \
-             sampling {:.0}ns indexed vs {:.0}ns full ({:.2}x), \
-             synthesis {:.2}ns/sample batched vs {:.2}ns/sample per-sample ({:.2}x)",
-            case.nodes,
-            case.delivery_grid_ns,
-            case.delivery_brute_ns,
-            case.delivery_speedup,
-            case.sampling_indexed_ns,
-            case.sampling_full_ns,
-            case.sampling_speedup,
-            case.synth_batched_ns_per_sample,
-            case.synth_per_sample_ns_per_sample,
-            case.synth_speedup,
-        );
-        cases.push(case);
-    }
-    let mut scale = Vec::new();
-    for nodes in SCALE_SIZES {
-        let case = scale_case(nodes);
-        println!(
-            "scale baseline {} nodes: {} events over {:.0}s sim, {:.0} ns/event",
-            case.nodes, case.events, case.sim_secs, case.ns_per_event,
-        );
-        scale.push(case);
-    }
-    let baseline = WorldBaseline {
-        bench: "world_hot_loops_25_100_400".into(),
-        radio_range_ft: RANGE_FT,
-        cases,
-        scale,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_world.json");
-    let json = serde::Serialize::to_value(&baseline).to_json_pretty();
-    std::fs::write(path, json).expect("write BENCH_world.json");
-    println!("wrote BENCH_world.json");
-}
-
-fn main() {
-    if std::env::var_os("WORLD_BENCH_QUICK").is_none() {
-        benches();
-    }
-    emit_baseline();
-}
+criterion_main!(benches);

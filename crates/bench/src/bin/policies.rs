@@ -46,7 +46,7 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seeds: 3,
         seed_start: 42,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: enviromic_types::default_workers(),
         duration: 600.0,
         out: String::from("target/bench/BENCH_policies.json"),
         digests_out: None,

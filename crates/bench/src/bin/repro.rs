@@ -43,16 +43,11 @@ struct Options {
     timeline_out: String,
 }
 
-/// Default worker count: one per available core.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 fn parse_args() -> Options {
     let mut figures = BTreeSet::new();
     let mut seed = 1u64;
     let mut quick = false;
-    let mut jobs = default_jobs();
+    let mut jobs = enviromic_types::default_workers();
     let mut quiet = false;
     let mut verbose = false;
     let mut telemetry_out = String::from("target/telemetry/repro.json");

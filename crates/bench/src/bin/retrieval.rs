@@ -45,7 +45,7 @@ fn usage() -> ! {
 fn parse_args() -> Options {
     let mut opts = Options {
         bench: RetrievalOptions {
-            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs: enviromic_types::default_workers(),
             ..RetrievalOptions::default()
         },
         out: String::from("target/bench/BENCH_retrieval.json"),

@@ -22,8 +22,10 @@
 //! `--check` matches by label, so a PR-path run truncated with
 //! `--max-nodes 40000` still validates its four rungs against the full
 //! committed five-rung ladder (the nightly job regenerates all five).
-//! (Wall-clock throughput at these sizes lives in `BENCH_world.json`,
-//! which is an uploaded artifact, not a diffed one.)
+//!
+//! This is the workspace's one city ladder. Each rung's wall time (world
+//! build, run and digest) is printed on stdout, never written to the
+//! report; per-layer time at 100k nodes comes from `perfbench --trace 1`.
 
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
 use enviromic_bench::write_with_parents;
@@ -56,7 +58,7 @@ fn usage() -> ! {
 fn parse_args() -> Options {
     let mut opts = Options {
         seed: 42,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: enviromic_types::default_workers(),
         duration: 10.0,
         max_nodes: usize::MAX,
         out: String::from("target/bench/BENCH_scale.json"),
@@ -180,10 +182,10 @@ fn main() {
             digest: format!("{:#018x}", job.digest),
         })
         .collect();
-    for r in &rows {
+    for (r, job) in rows.iter().zip(&out.jobs) {
         println!(
-            "  {:<10} {:>6} nodes  {:>9} events  {}",
-            r.scenario, r.nodes, r.events, r.digest
+            "  {:<10} {:>6} nodes  {:>9} events  {}  {:>7.2}s wall",
+            r.scenario, r.nodes, r.events, r.digest, job.wall_secs
         );
     }
     let report = ScaleReport {

@@ -66,7 +66,7 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seeds: 8,
         seed_start: 42,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: enviromic_types::default_workers(),
         duration: 120.0,
         scenario: "both".into(),
         policy: PolicyKind::default(),

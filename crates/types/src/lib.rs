@@ -52,6 +52,6 @@ pub use event::EventId;
 pub use fnv::Fnv1a;
 pub use geometry::Position;
 pub use node::NodeId;
-pub use pool::{map_ordered, pool_size};
+pub use pool::{default_workers, map_ordered, pool_size};
 pub use source::SourceId;
 pub use time::{SimDuration, SimTime, JIFFIES_PER_SEC};

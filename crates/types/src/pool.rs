@@ -10,6 +10,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The default worker count of every parallel driver: one per available
+/// core, or 1 when the core count cannot be read.
+#[must_use]
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// The number of worker threads [`map_ordered`] uses for `len` items when
 /// asked for `workers`: clamped to `[1, len]` (and 1 for no items).
 #[must_use]

@@ -11,9 +11,9 @@
 //! intersections.
 //!
 //! Everything derives from the seed, so the scenario honours the same
-//! sweep-determinism contract as the paper workloads; a 10k-node instance
-//! is the canonical input of the scale rows in `BENCH_world.json` and the
-//! CI scale-smoke digest check.
+//! sweep-determinism contract as the paper workloads. The `scale` binary
+//! runs it from 1k to 100k nodes (`BENCH_scale.json`), and a 10k-node
+//! instance is pinned across worker counts in `tests/determinism.rs`.
 
 use crate::grid::Topology;
 use crate::scenario::Scenario;

@@ -83,7 +83,7 @@ fn parse_args() -> Options {
         duration: None,
         seed: 1,
         seeds: 1,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: enviromic::types::default_workers(),
         flash: None,
         beta_max: None,
         policy: PolicyKind::default(),

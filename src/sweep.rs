@@ -392,8 +392,8 @@ impl SweepOutcome {
         self.jobs.iter().map(|j| j.wall_secs).sum()
     }
 
-    /// The machine-readable summary (per-job table + aggregate) written
-    /// to `BENCH_sweep.json`.
+    /// The machine-readable summary (per-job table + aggregate) the
+    /// `sweep` driver writes.
     #[must_use]
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
@@ -435,8 +435,8 @@ pub struct JobRecord {
 }
 
 /// The machine-readable sweep artifact: per-job and aggregate timings
-/// plus the merged telemetry. Serialized to `BENCH_sweep.json` by the
-/// `sweep` driver and the `sweep` Criterion bench.
+/// plus the merged telemetry. Serialized by the `sweep` driver (default
+/// `target/bench/BENCH_sweep.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSummary {
     /// Worker threads used.

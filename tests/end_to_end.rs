@@ -2,8 +2,11 @@
 //! paper-scale scenarios (shortened for test time).
 
 use enviromic::core::{DataMule, EnviroMicNode, Mode, MuleConfig, NodeConfig, RetrievalMode};
-use enviromic::harness::{build_world, indoor_world_config, run_scenario};
+use enviromic::harness::{
+    build_world, indoor_world_config, run_scenario, run_scenario_with_faults,
+};
 use enviromic::sim::{RecordKind, TraceEvent};
+use enviromic::sweep::ScenarioSpec;
 use enviromic::types::{NodeId, Position, SimDuration};
 use enviromic::workloads::{indoor_scenario, mobile_scenario, IndoorParams, MobileParams};
 
@@ -197,4 +200,41 @@ fn deterministic_across_identical_runs() {
         format!("{:?}", r.trace.events().len())
     };
     assert_eq!(run(9), run(9));
+}
+
+#[test]
+#[ignore = "chunk audio stamps run past the scenario end on long indoor runs; \
+            suspected time-sync regression behind global_estimate"]
+fn stored_chunk_stamps_stay_within_the_run() {
+    // A chunk's audio interval is the recorder's global-time estimate of
+    // when it was heard, so it cannot end after the run does. The 4400 s
+    // indoor run is the §IV-B testbed length.
+    let input = ScenarioSpec::quick_indoor(4400.0).build(42);
+    let end = input.scenario.end() + SimDuration::from_secs_f64(input.drain_secs);
+    let run = run_scenario_with_faults(
+        input.scenario,
+        &input.node_cfg,
+        input.world_cfg,
+        input.drain_secs,
+        &input.faults,
+    );
+    let stamps: Vec<f64> = run
+        .trace
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ChunkStored { audio_t1, .. } => Some(audio_t1.as_secs_f64()),
+            _ => None,
+        })
+        .collect();
+    let end_s = end.as_secs_f64();
+    let late = stamps.iter().filter(|&&t1| t1 > end_s).count();
+    let far = stamps.iter().filter(|&&t1| t1 > end_s + 60.0).count();
+    let latest = stamps.iter().copied().fold(0.0, f64::max);
+    assert_eq!(
+        late,
+        0,
+        "{late} of {} ChunkStored records end after {end_s:.0} s, {far} by more than 60 s \
+         (latest {latest:.0} s)",
+        stamps.len()
+    );
 }

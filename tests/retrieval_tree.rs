@@ -39,6 +39,31 @@ fn far_end_event(world: &mut World, x: f64) {
         .expect("valid source");
 }
 
+/// A 6-round tree mule at the near end of a 5-node line, with the event
+/// at the far end, run for 320 s at `loss` per hop. Returns (chunks the
+/// mule retrieved, chunks the nodes store).
+fn tree_mule_run(seed: u64, loss: f64) -> (u32, u32) {
+    let (mut world, nodes) = line_world(seed, 5, loss);
+    far_end_event(&mut world, 8.0);
+    let mule = world.add_node(
+        Position::new(-2.0, 0.0),
+        Box::new(DataMule::new(MuleConfig {
+            mode: RetrievalMode::Tree,
+            start_after: SimDuration::from_secs_f64(10.0),
+            rounds: 6,
+            round_timeout: SimDuration::from_secs_f64(40.0),
+            ..MuleConfig::default()
+        })),
+    );
+    world.run_for_secs(320.0);
+    let total = nodes
+        .iter()
+        .map(|&n| world.app_as::<EnviroMicNode>(n).unwrap().stored_chunks())
+        .sum();
+    let got = world.app_as::<DataMule>(mule).unwrap().chunks().len() as u32;
+    (got, total)
+}
+
 #[test]
 fn tree_retrieval_relays_chunks_across_hops() {
     let (mut world, nodes) = line_world(21, 6, 0.0);
@@ -76,32 +101,33 @@ fn tree_retrieval_relays_chunks_across_hops() {
 #[test]
 fn tree_retrieval_rounds_recover_lost_chunks() {
     // Seed recalibrated for the in-tree rand stand-in's PRNG stream.
-    let (mut world, nodes) = line_world(25, 5, 0.10);
-    far_end_event(&mut world, 8.0);
-    let mule = world.add_node(
-        Position::new(-2.0, 0.0),
-        Box::new(DataMule::new(MuleConfig {
-            mode: RetrievalMode::Tree,
-            start_after: SimDuration::from_secs_f64(10.0),
-            rounds: 6,
-            round_timeout: SimDuration::from_secs_f64(40.0),
-            ..MuleConfig::default()
-        })),
-    );
-    world.run_for_secs(320.0);
-
-    let total: u32 = nodes
-        .iter()
-        .map(|&n| world.app_as::<EnviroMicNode>(n).unwrap().stored_chunks())
-        .sum();
-    let mule_app = world.app_as::<DataMule>(mule).unwrap();
-    let got = mule_app.chunks().len() as u32;
+    let (got, total) = tree_mule_run(25, 0.10);
     assert!(total > 0, "nothing recorded");
     // With 10% loss per hop some chunks vanish per round; repeated rounds
     // must recover the overwhelming majority.
     assert!(
         f64::from(got) >= f64::from(total) * 0.9,
         "too much lost despite re-query rounds: {got}/{total}"
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: tree retrieval latches at 0 chunks on some seeds at 2% loss"]
+fn tree_retrieval_never_latches_at_zero_across_seeds() {
+    // Six fresh TreeBuild waves at 2% loss per hop must retrieve
+    // something on every seed; a zero means some node or mule state
+    // latched.
+    let latched: Vec<String> = (0..60)
+        .filter_map(|seed| {
+            let (got, total) = tree_mule_run(seed, 0.02);
+            (got == 0).then(|| format!("seed {seed}: 0/{total}"))
+        })
+        .collect();
+    assert!(
+        latched.is_empty(),
+        "{} of 60 seeds retrieved nothing: {}",
+        latched.len(),
+        latched.join(", ")
     );
 }
 
