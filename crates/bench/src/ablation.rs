@@ -8,7 +8,8 @@
 //! * **global balance hints** (§VI future work) — does gossiped global
 //!   pressure damp the Fig. 13(c) boundary effect (occupancy variance)?
 //! * **controlled redundancy** (§VI future work) — replication factor 2
-//!   trades storage for robustness.
+//!   trades storage for robustness; the copy count is not yet bounded
+//!   (DESIGN.md §"Controlled redundancy").
 //! * **detector margin** — silence-filtering sensitivity: misses vs.
 //!   false-positive (unattributable) recordings.
 //!
@@ -76,14 +77,8 @@ fn base_cfg() -> NodeConfig {
         .with_beta_max(2.0)
 }
 
-/// Runs the ablation battery on up to one worker per configuration.
-/// `duration` of 2200 s keeps contrasts visible in reasonable time.
-#[must_use]
-pub fn run(seed: u64, duration: f64) -> Vec<AblationRow> {
-    run_jobs(seed, duration, usize::MAX)
-}
-
 /// Runs the ablation battery as one sweep on `jobs` worker threads.
+/// `duration` of 2200 s keeps contrasts visible in reasonable time.
 #[must_use]
 pub fn run_jobs(seed: u64, duration: f64, jobs: usize) -> Vec<AblationRow> {
     let configs: Vec<(&str, NodeConfig)> = vec![
@@ -503,7 +498,7 @@ mod tests {
 
     #[test]
     fn short_ablation_battery_runs() {
-        let rows = run(5, 400.0);
+        let rows = run_jobs(5, 400.0, 7);
         assert_eq!(rows.len(), 7);
         for r in &rows {
             assert!(r.miss >= 0.0 && r.miss <= 1.0, "{r:?}");

@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! retrieval [--queries N] [--cache N] [--jobs N] [--out PATH]
-//!           [--digests-out PATH] [--telemetry-out PATH] [-q | --verbose]
+//!           [--telemetry-out PATH] [-q | --verbose]
 //!
 //! --queries N         workload size (default 600)
 //! --cache N           LRU capacity in distinct queries (default 256; 0 disables)
 //! --jobs N            worker threads serving the workload (default: cores)
 //! --out PATH          committed report JSON
 //!                     (default target/bench/BENCH_retrieval.json)
-//! --digests-out PATH  also write an "index 0xdigest" per-query table
-//!                     (for CI to diff across worker counts)
 //! --telemetry-out PATH also write the archive.* telemetry report
 //! ```
 //!
@@ -20,24 +18,26 @@
 //! The report contains no wall-clock data, so the same constants produce
 //! a **byte-identical** file at any `--jobs` value — CI regenerates it at
 //! `--jobs 1` and `--jobs 2`, diffs the two, and diffs the result against
-//! the committed `BENCH_retrieval.json`. Throughput and latency stay on
-//! the console.
+//! the committed `BENCH_retrieval.json`. The report's result digest folds
+//! every per-query digest in workload order, so a single reordered or
+//! changed answer shows in that diff. Throughput and latency stay on the
+//! console; the `--telemetry-out` report holds only `archive.*` counters,
+//! gauges and histograms, and CI diffs it across worker counts too.
 
-use enviromic_bench::retrieval::{digest_table, run_retrieval, RetrievalOptions};
-use enviromic_bench::write_with_parents;
+use enviromic::observe::write_with_parents;
+use enviromic_bench::retrieval::{run_retrieval, RetrievalOptions};
 use enviromic_telemetry::{log, log_info};
 
 struct Options {
     bench: RetrievalOptions,
     out: String,
-    digests_out: Option<String>,
     telemetry_out: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: retrieval [--queries N] [--cache N] [--jobs N] [--out PATH] \
-         [--digests-out PATH] [--telemetry-out PATH] [-q|--quiet] [-v|--verbose]"
+         [--telemetry-out PATH] [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -49,7 +49,6 @@ fn parse_args() -> Options {
             ..RetrievalOptions::default()
         },
         out: String::from("target/bench/BENCH_retrieval.json"),
-        digests_out: None,
         telemetry_out: None,
     };
     let mut quiet = false;
@@ -67,7 +66,6 @@ fn parse_args() -> Options {
                 }
             }
             "--out" => opts.out = value(),
-            "--digests-out" => opts.digests_out = Some(value()),
             "--telemetry-out" => opts.telemetry_out = Some(value()),
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
@@ -119,9 +117,6 @@ fn main() {
         run.outcome.latency.p99_us,
     );
     write_with_parents("retrieval", &opts.out, &run.report.to_json());
-    if let Some(path) = &opts.digests_out {
-        write_with_parents("retrieval", path, &digest_table(&run));
-    }
     if let Some(path) = &opts.telemetry_out {
         write_with_parents("retrieval", path, &run.telemetry.to_json());
     }

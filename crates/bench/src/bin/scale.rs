@@ -27,8 +27,8 @@
 //! build, run and digest) is printed on stdout, never written to the
 //! report; per-layer time at 100k nodes comes from `perfbench --trace 1`.
 
+use enviromic::observe::write_with_parents;
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
-use enviromic_bench::write_with_parents;
 use enviromic_telemetry::{log, log_info};
 use serde::{Deserialize, Serialize};
 

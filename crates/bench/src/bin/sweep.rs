@@ -3,8 +3,8 @@
 //! ```text
 //! sweep [--seeds N] [--seed-start S] [--jobs N] [--duration SECS]
 //!       [--scenario indoor|forest|both] [--policy NAME] [--chaos]
-//!       [--out PATH] [--digests-out PATH] [--timeline SECS]
-//!       [--timeline-out PATH] [-q | --verbose]
+//!       [--out PATH] [--timeline SECS] [--timeline-out PATH]
+//!       [-q | --verbose]
 //!
 //! --seeds N            number of consecutive seeds (default 8)
 //! --seed-start S       first seed (default 42, the golden-digest seed)
@@ -17,10 +17,9 @@
 //! --chaos              inject a seed-derived fault schedule into every
 //!                      run (crashes + reboots, a radio blackout, link
 //!                      degradation, bad flash blocks)
-//! --out PATH           machine-readable summary JSON
+//! --out PATH           machine-readable summary JSON: per-job digests
+//!                      and the merged telemetry, no wall-clock data
 //!                      (default target/bench/BENCH_sweep.json)
-//! --digests-out PATH   also write a "label seed digest events" text table
-//!                      (for CI to diff across worker counts)
 //! --timeline SECS      sample a sim-time metric timeline every SECS in
 //!                      every job (per-seed digests stay bit-identical)
 //! --timeline-out PATH  write the per-job timelines as a `trace`-explorer
@@ -28,13 +27,15 @@
 //! ```
 //!
 //! Every job owns its own world, RNG, and telemetry registry, so the
-//! per-seed trace digests printed here are bit-identical for any `--jobs`
-//! value — CI runs the same grid at `--jobs 1` and `--jobs 2` and diffs
-//! the `--digests-out` tables to enforce that.
+//! per-seed trace digests and the merged telemetry are bit-identical for
+//! any `--jobs` value, and the `--out` summary with them: CI runs the
+//! same grid at `--jobs 1` and `--jobs 2`, diffs the two summaries, and
+//! diffs the committed `BENCH_sweep.json` (`--seeds 4 --duration 120
+//! --timeline 10`) and `BENCH_chaos.json` (`--chaos --seeds 4 --duration
+//! 120`) against them. Wall times appear only in the console table.
 
-use enviromic::observe::{DumpFile, RunDump};
+use enviromic::observe::{write_with_parents, DumpFile, RunDump};
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
-use enviromic_bench::write_with_parents;
 use enviromic_core::PolicyKind;
 use enviromic_telemetry::{log, log_info};
 
@@ -47,7 +48,6 @@ struct Options {
     policy: PolicyKind,
     chaos: bool,
     out: String,
-    digests_out: Option<String>,
     timeline: Option<f64>,
     timeline_out: Option<String>,
 }
@@ -56,8 +56,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: sweep [--seeds N] [--seed-start S] [--jobs N] [--duration SECS] \
          [--scenario indoor|forest|both] [--policy beta-ttl|no-migration|coordinated|flooding] \
-         [--chaos] [--out PATH] [--digests-out PATH] \
-         [--timeline SECS] [--timeline-out PATH] [-q|--quiet] [-v|--verbose]"
+         [--chaos] [--out PATH] [--timeline SECS] [--timeline-out PATH] \
+         [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -72,7 +72,6 @@ fn parse_args() -> Options {
         policy: PolicyKind::default(),
         chaos: false,
         out: String::from("target/bench/BENCH_sweep.json"),
-        digests_out: None,
         timeline: None,
         timeline_out: None,
     };
@@ -100,7 +99,6 @@ fn parse_args() -> Options {
             }
             "--chaos" => opts.chaos = true,
             "--out" => opts.out = value(),
-            "--digests-out" => opts.digests_out = Some(value()),
             "--timeline" => {
                 opts.timeline = Some(value().parse().unwrap_or_else(|_| usage()));
             }
@@ -156,10 +154,9 @@ fn main() {
     );
 
     let outcome = run_sweep(&plan, opts.jobs);
-    let summary = outcome.summary();
-    print!("{}", summary.render());
+    print!("{}", outcome.render());
 
-    write_with_parents("sweep", &opts.out, &summary.to_json());
+    write_with_parents("sweep", &opts.out, &outcome.summary().to_json());
     if let Some(path) = &opts.timeline_out {
         // Digest + timeline per job; the event ledgers would dwarf the file.
         let dump = DumpFile {
@@ -170,15 +167,5 @@ fn main() {
                 .collect(),
         };
         write_with_parents("sweep", path, &dump.to_json());
-    }
-    if let Some(path) = &opts.digests_out {
-        let mut table = String::new();
-        for j in &summary.jobs {
-            table.push_str(&format!(
-                "{} {} {} {}\n",
-                j.label, j.seed, j.digest, j.events
-            ));
-        }
-        write_with_parents("sweep", path, &table);
     }
 }

@@ -100,17 +100,10 @@ pub fn suite_world_config(seed: u64) -> enviromic::sim::WorldConfig {
     wcfg
 }
 
-/// Runs the suite on up to one worker per setting (the pre-sweep-engine
-/// behaviour). `duration_secs` is 4400 in the paper; pass less for quick
-/// runs.
-#[must_use]
-pub fn run_suite(seed: u64, duration_secs: f64) -> IndoorSuite {
-    run_suite_jobs(seed, duration_secs, Setting::all().len())
-}
-
 /// Runs the suite's five settings as one sweep on `jobs` worker threads.
-/// Each setting's run is bit-identical regardless of `jobs` (every job
-/// owns its own world and RNG).
+/// `duration_secs` is 4400 in the paper; pass less for quick runs. Each
+/// setting's run is bit-identical regardless of `jobs` (every job owns
+/// its own world and RNG).
 #[must_use]
 pub fn run_suite_jobs(seed: u64, duration_secs: f64, jobs: usize) -> IndoorSuite {
     let settings = Setting::all();

@@ -1,6 +1,5 @@
 //! Experiment harnesses regenerating every figure of the EnviroMic
-//! paper's evaluation (§IV), plus shared plumbing for the Criterion
-//! benches.
+//! paper's evaluation (§IV), and the command-line drivers built on them.
 //!
 //! | Module | Figures |
 //! |---|---|
@@ -10,12 +9,18 @@
 //! | [`indoor`] | Figs. 10–14 and the headline 4× claim |
 //! | [`outdoor`] | Figs. 16–18 — the forest deployment |
 //! | [`ablation`] | design-choice and future-work ablations |
-//! | [`gate`] | telemetry regression gate (`telemetry-diff` binary) |
 //! | [`retrieval`] | archive serving benchmark (`retrieval` binary) |
 //!
 //! Run `cargo run --release -p enviromic-bench --bin repro -- all` to
 //! print every figure; see EXPERIMENTS.md for the paper-vs-measured
 //! record.
+//!
+//! The deterministic drivers (`sweep`, `policies`, `scale`, `retrieval`)
+//! write JSON reports that hold no wall-clock data, so a report is a
+//! pure function of its flags. CI gates all of them the same way:
+//! regenerate at `--jobs 1` and `--jobs 2`, `diff -u` the two files, and
+//! `diff -u` the committed `BENCH_*.json` against the second. Wall time
+//! and throughput stay on the console.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,28 +29,6 @@ pub mod ablation;
 pub mod fig03;
 pub mod fig06;
 pub mod fig08;
-pub mod gate;
 pub mod indoor;
 pub mod outdoor;
 pub mod retrieval;
-
-use enviromic_telemetry::{log_info, log_warn};
-
-/// Writes `contents` to `path`, creating missing parent directories, and
-/// logs the write under `[tool]`. Exits the process with status 1 when
-/// the file cannot be written.
-pub fn write_with_parents(tool: &str, path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[{tool}] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}

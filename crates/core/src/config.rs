@@ -261,8 +261,15 @@ pub struct NodeConfig {
     pub piggyback_max_wait: SimDuration,
 
     // --- extensions beyond the paper ---------------------------------------
-    /// Keep this many replicas of each chunk when migrating (the paper's
-    /// future-work "controlled redundancy"); 1 means plain migration.
+    /// Controlled-redundancy switch (the paper's future-work "controlled
+    /// redundancy"); 1 means plain migration. Any value above 1 makes a
+    /// migrating donor keep its acked chunks while more than 30 % of its
+    /// store is free. The value itself is not a replica count: 2 and 3
+    /// behave the same, and because a kept chunk stays at the head of the
+    /// donor's queue, every later session sends it again, so copies grow
+    /// without bound (pinned by the ignored test
+    /// `replication_factor_two_stores_about_two_copies` in
+    /// `tests/end_to_end.rs`).
     pub replication_factor: u8,
     /// Global load-balancing hints (the paper's future-work "global (as
     /// opposed to local greedy) load-balancing"): nodes gossip a diffusive

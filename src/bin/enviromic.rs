@@ -35,7 +35,7 @@
 
 use enviromic::core::{Mode, NodeConfig, PolicyKind};
 use enviromic::harness::{forest_world_config, indoor_world_config, run_scenario};
-use enviromic::observe::{DumpFile, RunDump};
+use enviromic::observe::{write_with_parents, DumpFile, RunDump};
 use enviromic::sim::{RecordKind, TraceEvent, WorldConfig};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::SimDuration;
@@ -189,23 +189,6 @@ fn node_config(opts: &Options) -> NodeConfig {
     cfg
 }
 
-/// Writes `contents` to `path`, creating parent directories as needed.
-fn write_dump(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[enviromic] run dump written to {path}"),
-        Err(e) => {
-            eprintln!("enviromic: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `--seeds N`: the same scenario replayed across N consecutive seeds on a
 /// worker pool; prints the per-seed digest table instead of a harvest report.
 fn run_seed_sweep(opts: &Options) {
@@ -232,11 +215,10 @@ fn run_seed_sweep(opts: &Options) {
         plan = plan.with_timeline(secs);
     }
     let outcome = run_sweep(&plan, opts.jobs);
-    let summary = outcome.summary();
-    print!("{}", summary.render());
+    print!("{}", outcome.render());
     if opts.stats {
         println!();
-        print!("{}", summary.aggregate.render_dashboard());
+        print!("{}", outcome.aggregate.render_dashboard());
     }
     if let Some(path) = &opts.timeline_out {
         // Timeline-only dumps: per-seed event ledgers would dwarf the file.
@@ -247,7 +229,7 @@ fn run_seed_sweep(opts: &Options) {
                 .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, false))
                 .collect(),
         };
-        write_dump(path, &dump.to_json());
+        write_with_parents("enviromic", path, &dump.to_json());
     }
 }
 
@@ -339,6 +321,6 @@ fn main() {
         let dump = DumpFile {
             runs: vec![RunDump::from_run(&opts.scenario, opts.seed, &run, true)],
         };
-        write_dump(path, &dump.to_json());
+        write_with_parents("enviromic", path, &dump.to_json());
     }
 }

@@ -3,8 +3,9 @@
 //! A run's [`TraceEvent`]s round-trip through JSON as they are (a label
 //! read back from a file is owned, one recorded live is borrowed; the two
 //! compare and digest equal). This module owns the [`RunDump`]/[`DumpFile`]
-//! containers the `--timeline-out` flags write and the `trace` explorer
-//! binary reads. [`TraceFilter`] answers the explorer's node / event-kind /
+//! containers the `--timeline-out` flags write (through
+//! [`write_with_parents`], the drivers' one file writer) and the `trace`
+//! explorer binary reads. [`TraceFilter`] answers the explorer's node / event-kind /
 //! time-window queries, and the rendering helpers produce the per-node
 //! ledgers and summaries it prints.
 
@@ -12,7 +13,7 @@ use crate::harness::ExperimentRun;
 use crate::sim::TraceEvent;
 use enviromic_archive::{ArchiveBuilder, ArchiveRecord, ArchiveStore, GapRange};
 use enviromic_core::{MissingRange, RerequestPlan};
-use enviromic_telemetry::TimelineReport;
+use enviromic_telemetry::{log_info, log_warn, TimelineReport};
 use enviromic_types::{NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -85,6 +86,26 @@ impl DumpFile {
     pub fn from_json(text: &str) -> Result<DumpFile, String> {
         let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
         serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
+    }
+}
+
+/// Writes `contents` to `path`, creating missing parent directories, and
+/// logs the write under `[tool]`. Exits the process with status 1 when
+/// the file cannot be written. Every command-line driver writes its
+/// reports and dumps through this one function.
+pub fn write_with_parents(tool: &str, path: &str, contents: &str) {
+    let p = std::path::Path::new(path);
+    if let Some(parent) = p.parent() {
+        if !parent.as_os_str().is_empty() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+    }
+    match std::fs::write(p, contents) {
+        Ok(()) => log_info!("[{tool}] wrote {path}"),
+        Err(e) => {
+            log_warn!("could not write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -12,7 +12,9 @@
 //! Results come back in **plan order** regardless of completion order:
 //! per-job records (trace digest, event count, wall-clock) plus one
 //! aggregated [`TelemetryReport`] merged job-by-job in plan order, so the
-//! merged counters are themselves reproducible.
+//! merged counters are themselves reproducible. The [`SweepSummary`] the
+//! `sweep` driver writes leaves the wall-clock out, so a plan's summary
+//! is byte-identical at any worker count and CI diffs it as a file.
 //!
 //! # Examples
 //!
@@ -96,8 +98,8 @@ impl ScenarioSpec {
     }
 
     /// Re-parameterizes this point to run the given storage-balancing
-    /// policy on every node, relabelling it `{label}+{policy}` so digest
-    /// tables and metric prefixes keep policy points distinct. The
+    /// policy on every node, relabelling it `{label}+{policy}` so job
+    /// rows and metric prefixes keep policy points distinct. The
     /// default [`PolicyKind::BetaTtl`] keeps the original label (the
     /// golden-digest runs are those unmodified points).
     #[must_use]
@@ -393,15 +395,12 @@ impl SweepOutcome {
     }
 
     /// The machine-readable summary (per-job table + aggregate) the
-    /// `sweep` driver writes.
+    /// `sweep` driver writes. It holds no wall-clock data, so the same
+    /// plan serializes byte-identically at any worker count.
     #[must_use]
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
-            workers: self.workers as u64,
             jobs_total: self.jobs.len() as u64,
-            wall_secs: self.wall_secs,
-            serial_secs: self.serial_secs(),
-            speedup: self.serial_secs() / self.wall_secs.max(1e-9),
             jobs: self
                 .jobs
                 .iter()
@@ -410,11 +409,35 @@ impl SweepOutcome {
                     seed: j.seed,
                     digest: format!("{:#018x}", j.digest),
                     events: j.events as u64,
-                    wall_secs: j.wall_secs,
                 })
                 .collect(),
             aggregate: self.aggregate.clone(),
         }
+    }
+
+    /// Renders the per-job table (with each job's wall time) and the pool
+    /// line for terminal output.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::from(
+            "sweep results\n\n  scenario        seed        digest              events   wall(s)\n",
+        );
+        for j in &self.jobs {
+            out.push_str(&format!(
+                "  {:<14} {:>5}  {:#018x}  {:>8}  {:>8.3}\n",
+                j.label, j.seed, j.digest, j.events, j.wall_secs
+            ));
+        }
+        let serial = self.serial_secs();
+        out.push_str(&format!(
+            "\n  {} jobs on {} workers: {:.3}s wall ({:.3}s serial, {:.2}x speedup)\n",
+            self.jobs.len(),
+            self.workers,
+            self.wall_secs,
+            serial,
+            serial / self.wall_secs.max(1e-9)
+        ));
+        out
     }
 }
 
@@ -430,25 +453,16 @@ pub struct JobRecord {
     pub digest: String,
     /// Number of trace records.
     pub events: u64,
-    /// Wall-clock seconds the job took.
-    pub wall_secs: f64,
 }
 
-/// The machine-readable sweep artifact: per-job and aggregate timings
-/// plus the merged telemetry. Serialized by the `sweep` driver (default
-/// `target/bench/BENCH_sweep.json`).
+/// The machine-readable sweep artifact: the per-job digests plus the
+/// merged telemetry, and nothing measured by a clock. Serialized by the
+/// `sweep` driver (default `target/bench/BENCH_sweep.json`); the committed
+/// `BENCH_sweep.json` and `BENCH_chaos.json` are two of these.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSummary {
-    /// Worker threads used.
-    pub workers: u64,
     /// Number of jobs executed.
     pub jobs_total: u64,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_secs: f64,
-    /// Sum of per-job wall-clock seconds.
-    pub serial_secs: f64,
-    /// `serial_secs / wall_secs` — the pool's effective speedup.
-    pub speedup: f64,
     /// Per-job rows in plan order.
     pub jobs: Vec<JobRecord>,
     /// Every job's telemetry merged in plan order.
@@ -470,25 +484,6 @@ impl SweepSummary {
     pub fn from_json(text: &str) -> Result<SweepSummary, String> {
         let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
         serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
-
-    /// Renders the per-job table and aggregate line for terminal output.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "sweep results\n\n  scenario        seed        digest              events   wall(s)\n",
-        );
-        for j in &self.jobs {
-            out.push_str(&format!(
-                "  {:<14} {:>5}  {:>18}  {:>8}  {:>8.3}\n",
-                j.label, j.seed, j.digest, j.events, j.wall_secs
-            ));
-        }
-        out.push_str(&format!(
-            "\n  {} jobs on {} workers: {:.3}s wall ({:.3}s serial, {:.2}x speedup)\n",
-            self.jobs_total, self.workers, self.wall_secs, self.serial_secs, self.speedup
-        ));
-        out
     }
 }
 
@@ -607,9 +602,18 @@ mod tests {
         assert_eq!(back, summary);
         assert_eq!(back.jobs.len(), 2);
         assert!(back.jobs[0].digest.starts_with("0x"));
-        let rendered = summary.render();
+        let rendered = out.render();
         assert!(rendered.contains("quick-indoor"));
         assert!(rendered.contains("workers"));
+    }
+
+    #[test]
+    fn summary_json_is_identical_across_worker_counts() {
+        let plan = tiny_plan();
+        assert_eq!(
+            run_sweep(&plan, 1).summary().to_json(),
+            run_sweep(&plan, 4).summary().to_json()
+        );
     }
 
     #[test]

@@ -238,3 +238,78 @@ fn stored_chunk_stamps_stay_within_the_run() {
         stamps.len()
     );
 }
+
+/// End-of-run stored copies, from the trace's `ChunkStored` and
+/// `ChunkRemoved` records. A chunk is keyed by its origin and audio
+/// window. Returns (copies, distinct chunks, most copies of one chunk,
+/// most copies of one chunk on one node).
+fn stored_copies(trace: &enviromic::runtime::Trace) -> (i64, usize, i64, i64) {
+    use std::collections::BTreeMap;
+    let mut per_node: BTreeMap<(NodeId, NodeId, u64, u64), i64> = BTreeMap::new();
+    for e in trace.iter() {
+        let (key, delta) = match *e {
+            TraceEvent::ChunkStored {
+                node,
+                origin,
+                audio_t0,
+                audio_t1,
+                ..
+            } => (
+                (node, origin, audio_t0.as_jiffies(), audio_t1.as_jiffies()),
+                1,
+            ),
+            TraceEvent::ChunkRemoved {
+                node,
+                origin,
+                audio_t0,
+                audio_t1,
+                ..
+            } => (
+                (node, origin, audio_t0.as_jiffies(), audio_t1.as_jiffies()),
+                -1,
+            ),
+            _ => continue,
+        };
+        *per_node.entry(key).or_default() += delta;
+    }
+    let mut per_chunk: BTreeMap<(NodeId, u64, u64), i64> = BTreeMap::new();
+    let mut max_on_node = 0;
+    for (&(_, origin, t0, t1), &n) in &per_node {
+        if n > 0 {
+            *per_chunk.entry((origin, t0, t1)).or_default() += n;
+            max_on_node = max_on_node.max(n);
+        }
+    }
+    let copies = per_chunk.values().sum();
+    let max_copies = per_chunk.values().copied().max().unwrap_or(0);
+    (copies, per_chunk.len(), max_copies, max_on_node)
+}
+
+#[test]
+#[ignore = "replication_factor is not controlled: acked chunks stay at the donor's \
+            queue head and every session re-sends them"]
+fn replication_factor_two_stores_about_two_copies() {
+    // The ablation battery's "replication x2" row: indoor, full protocol,
+    // 650-chunk stores, beta_max 2, mic-gain spread and 60 s occupancy
+    // polls, 400 s at seed 5. Factor 1 ends with 1684 copies of 1666
+    // chunks. Factor 3 gives the same trace as factor 2, because the
+    // policy only reads `replication_factor > 1`.
+    let params = IndoorParams {
+        duration_secs: 400.0,
+        ..IndoorParams::default()
+    };
+    let mut cfg = NodeConfig::default()
+        .with_mode(Mode::Full)
+        .with_flash_chunks(650)
+        .with_beta_max(2.0);
+    cfg.replication_factor = 2;
+    let mut wcfg = suite_world(5);
+    wcfg.occupancy_snapshot_period = Some(SimDuration::from_secs_f64(60.0));
+    let run = run_scenario(indoor_scenario(&params, 5), &cfg, wcfg, 20.0);
+    let (copies, distinct, max_copies, max_on_node) = stored_copies(&run.trace);
+    assert!(
+        copies as f64 <= 2.2 * distinct as f64,
+        "factor 2 stores {copies} copies of {distinct} chunks; one chunk has \
+         {max_copies} copies, one node holds {max_on_node} copies of one chunk"
+    );
+}
